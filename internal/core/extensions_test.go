@@ -63,10 +63,16 @@ func TestDeparturesWithFlakyDeliveries(t *testing.T) {
 	led := mech.Market().Ledger()
 	var balAtDeparture float64
 	for !mech.Done() {
+		round, platform := mech.Round(), led.Balance(ledger.Platform)
 		if _, err := mech.Step(); err != nil {
 			t.Fatal(err)
 		}
-		if mech.Round()-1 == 40 {
+		// Re-priced settlement: the platform's per-round commission
+		// (reward in minus collection payouts) must never go negative.
+		if c := led.Balance(ledger.Platform) - platform; c < -1e-9 {
+			t.Fatalf("round %d: negative commission %v", round, c)
+		}
+		if round == 40 {
 			balAtDeparture = led.Balance(ledger.Seller(2))
 		}
 	}
@@ -108,11 +114,6 @@ func TestDeparturesWithFlakyDeliveries(t *testing.T) {
 			}
 		}
 		mixed = mixed || (zero && paid)
-		// Re-priced settlement: the platform's per-round commission
-		// (reward in minus collection payouts) must never go negative.
-		if c := led.Commission(r.Round); c < -1e-9 {
-			t.Fatalf("round %d: negative commission %v", r.Round, c)
-		}
 	}
 	if !mixed {
 		t.Fatal("no round mixed failed and successful deliveries; interaction untested")

@@ -3,7 +3,7 @@ package core
 // This file implements the durable state layer of a live Mechanism:
 // Snapshot exports every online accumulator — round cursor, quality
 // estimators, regret tracker, Kahan-compensated profit sums, ledger
-// journal, and the position of every random stream — and Resume
+// balances, and the position of every random stream — and Resume
 // rebuilds a mechanism that continues the run round-for-round
 // identically to one that was never interrupted.
 //
@@ -16,6 +16,13 @@ package core
 // silently — the state simply fails validation), and mirrors how the
 // RNG layer works: streams are re-split from the seed, then fast-
 // forwarded by restoring their exported positions.
+//
+// Every persisted accumulator is a running sum or a per-seller
+// statistic, so a snapshot's size is bounded by M and K, not by the
+// rounds played. The only exceptions are opt-in: the retained round
+// records of Config.KeepRounds and the configured checkpoints. The
+// per-round payments live in the round log (internal/roundlog), not
+// here.
 
 import (
 	"bytes"
@@ -23,16 +30,20 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 
 	"cmabhs/internal/bandit"
+	"cmabhs/internal/ledger"
 	"cmabhs/internal/market"
 	"cmabhs/internal/numutil"
 )
 
 // StateVersion is the schema version written into every snapshot.
 // Bump it whenever the State layout changes incompatibly; DecodeState
-// rejects any other version outright rather than guessing.
-const StateVersion = 1
+// rejects any other version outright rather than guessing. Version 2
+// persists the ledger as balances; DecodeState still reads version 1,
+// whose ledger was a journal of every transfer (see migrateV1).
+const StateVersion = 2
 
 // State is the serializable snapshot of a live Mechanism.
 type State struct {
@@ -214,7 +225,14 @@ func DecodeState(data []byte) (*State, error) {
 	if err := json.Unmarshal(data, &probe); err != nil {
 		return nil, fmt.Errorf("core: decode state: %w", err)
 	}
-	if probe.Version != StateVersion {
+	switch probe.Version {
+	case StateVersion:
+	case 1:
+		var err error
+		if data, err = migrateV1(data); err != nil {
+			return nil, err
+		}
+	default:
 		return nil, fmt.Errorf("core: state version %d, this build reads version %d", probe.Version, StateVersion)
 	}
 	dec := json.NewDecoder(bytes.NewReader(data))
@@ -227,6 +245,58 @@ func DecodeState(data []byte) (*State, error) {
 		return nil, err
 	}
 	return st, nil
+}
+
+// v1Ledger is the ledger state of a version-1 snapshot: a journal of
+// every transfer the run booked.
+type v1Ledger struct {
+	Journal []struct {
+		Round  int            `json:"round"`
+		From   ledger.Account `json:"from"`
+		To     ledger.Account `json:"to"`
+		Amount float64        `json:"amount"`
+		Memo   string         `json:"memo"`
+	} `json:"journal"`
+}
+
+// migrateV1 rewrites a version-1 snapshot as version 2. The ledger
+// journal is folded, in journal order and through the same validation
+// as live transfers, into balances, which therefore come out
+// bit-identical to those of the run that wrote the snapshot. Every
+// other field is carried over byte for byte, for the strict decode
+// that follows to check.
+func migrateV1(data []byte) ([]byte, error) {
+	var top, mkt map[string]json.RawMessage
+	if err := json.Unmarshal(data, &top); err != nil {
+		return nil, fmt.Errorf("core: decode version-1 state: %w", err)
+	}
+	if err := json.Unmarshal(top["market"], &mkt); err != nil {
+		return nil, fmt.Errorf("core: decode version-1 market state: %w", err)
+	}
+	if mkt == nil {
+		return nil, errors.New("core: version-1 state has no market state")
+	}
+	var old v1Ledger
+	dec := json.NewDecoder(bytes.NewReader(mkt["ledger"]))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&old); err != nil {
+		return nil, fmt.Errorf("core: decode version-1 ledger: %w", err)
+	}
+	led := ledger.New()
+	for i, e := range old.Journal {
+		if err := led.Transfer(e.From, e.To, e.Amount); err != nil {
+			return nil, fmt.Errorf("core: version-1 ledger journal entry %d: %w", i, err)
+		}
+	}
+	var err error
+	if mkt["ledger"], err = json.Marshal(led.State()); err != nil {
+		return nil, err
+	}
+	if top["market"], err = json.Marshal(mkt); err != nil {
+		return nil, err
+	}
+	top["version"] = json.RawMessage(strconv.Itoa(StateVersion))
+	return json.Marshal(top)
 }
 
 // Resume rebuilds a live Mechanism from a configuration and a

@@ -3,11 +3,14 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
+	"os"
 	"strings"
 	"testing"
 
 	"cmabhs/internal/bandit"
+	"cmabhs/internal/ledger"
 	"cmabhs/internal/rng"
 )
 
@@ -285,6 +288,81 @@ func TestDecodeStateStrict(t *testing.T) {
 	}
 }
 
+// v1State returns the mechanism state of the version-1 session
+// fixture (see TestResumeVersion1Snapshot in the cmabhs package).
+func v1State(tb testing.TB) []byte {
+	data, err := os.ReadFile("../../testdata/session-v1.json")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var snap struct {
+		State json.RawMessage `json:"state"`
+	}
+	if err := json.Unmarshal(data, &snap); err != nil {
+		tb.Fatal(err)
+	}
+	return snap.State
+}
+
+// TestDecodeStateVersion1: a version-1 state decodes by folding its
+// ledger journal into balances; a journal entry that live transfers
+// would reject fails the decode.
+func TestDecodeStateVersion1(t *testing.T) {
+	v1 := v1State(t)
+	st, err := DecodeState(v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Version != StateVersion || len(st.Market.Ledger.Balances) == 0 {
+		t.Fatalf("migrated state: version %d, %d balances", st.Version, len(st.Market.Ledger.Balances))
+	}
+	bad := bytes.Replace(v1, []byte(`"amount":`), []byte(`"amount":-`), 1)
+	if _, err := DecodeState(bad); err == nil || !strings.Contains(err.Error(), "journal entry 0") {
+		t.Errorf("negative journal amount: got %v", err)
+	}
+	if _, err := DecodeState([]byte(`{"version":1,"market":null}`)); err == nil {
+		t.Error("version-1 state without a market accepted")
+	}
+}
+
+// TestResumeRejectsTamperedBalances: a snapshot whose ledger balances
+// were edited no longer conserves money and must not resume; a
+// balance too large for a float64 fails the decode itself.
+func TestResumeRejectsTamperedBalances(t *testing.T) {
+	cfg := func() *Config { c, _ := testConfig(t, 5, 2, 15, 3, 3); return c }
+	m, err := NewMechanism(cfg(), bandit.UCBGreedy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := m.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := m.Snapshot().Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// tamper credits an extra seller account out of thin air.
+	tamper := func(balance string) []byte {
+		out := bytes.Replace(data, []byte(`"balances":{`), []byte(`"balances":{"seller-9":`+balance+`,`), 1)
+		if bytes.Equal(out, data) {
+			t.Fatal("snapshot has no ledger balances")
+		}
+		return out
+	}
+	st, err := DecodeState(tamper("1000"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Resume(cfg(), bandit.UCBGreedy{}, st); !errors.Is(err, ledger.ErrImbalance) {
+		t.Errorf("imbalanced ledger: got %v, want ErrImbalance", err)
+	}
+	if _, err := DecodeState(tamper("1e999")); err == nil {
+		t.Error("non-finite balance decoded")
+	}
+}
+
 // TestResultAvgGuards: the per-round averages must not emit NaN
 // before any round has been played (regression: CumPoC/0 == NaN).
 func TestResultAvgGuards(t *testing.T) {
@@ -331,7 +409,9 @@ func FuzzDecodeState(f *testing.F) {
 	}
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
-	f.Add(bytes.Replace(valid, []byte(`"version":1`), []byte(`"version":2`), 1))
+	f.Add(bytes.Replace(valid, []byte(`"version":2`), []byte(`"version":3`), 1))
+	f.Add(bytes.Replace(valid, []byte(`"balances":{`), []byte(`"balances":{"seller-9":1e6,`), 1))
+	f.Add(v1State(f))
 	f.Add(bytes.Replace(valid, []byte(`"next":`), []byte(`"nxet":`), 1))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"version":1}`))

@@ -3,15 +3,17 @@
 // strategy ⟨p^J, p, τ⟩ is fixed, the consumer pays the platform
 // p^J·Στ_i and the platform pays each selected seller p·τ_i; the
 // difference is the platform's commission. The ledger double-books
-// every transfer, so conservation (Σ balances = 0 for accounts that
-// start empty) is an enforced invariant rather than an assumption.
+// every transfer into per-account balances, so conservation (Σ
+// balances = 0 for accounts that start empty) is an enforced invariant
+// rather than an assumption. It keeps balances only — its state is
+// bounded by the number of accounts, never by the rounds settled. The
+// per-round payments are recorded by the round log (internal/roundlog).
 package ledger
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Account identifies a trading party.
@@ -30,23 +32,20 @@ func Seller(i int) Account { return Account(fmt.Sprintf("seller-%d", i)) }
 var (
 	ErrNegativeAmount = errors.New("ledger: negative transfer amount")
 	ErrBadAmount      = errors.New("ledger: amount must be finite")
+	ErrImbalance      = errors.New("ledger: balances do not sum to zero")
 )
 
-// Entry is one journaled transfer.
-type Entry struct {
-	Round  int     `json:"round"`  // trading round the transfer settles
-	From   Account `json:"from"`   // payer
-	To     Account `json:"to"`     // payee
-	Amount float64 `json:"amount"` // non-negative
-	Memo   string  `json:"memo"`   // human-readable reason ("service reward", ...)
-}
+// conservationTol bounds |Σ balances| relative to Σ|balances| on
+// Restore. Each transfer's two roundings leave the sum off by about
+// one ulp of the amount: a 100k-round session at M=100, K=10 drifts
+// ~1e-14 relatively, while a tampered balance moves it by far more.
+const conservationTol = 1e-9
 
-// Ledger tracks balances and the full journal. The zero value is
-// ready to use. Balances may go negative: parties fund payments from
-// external wealth, and a negative balance is exactly their net spend.
+// Ledger tracks per-account balances. Balances may go negative:
+// parties fund payments from external wealth, and a negative balance
+// is exactly their net spend.
 type Ledger struct {
 	balances map[Account]float64
-	journal  []Entry
 	sellers  []Account // memoized Seller(i) strings, grown on demand
 }
 
@@ -55,19 +54,30 @@ func New() *Ledger {
 	return &Ledger{balances: make(map[Account]float64)}
 }
 
-// Transfer moves amount from one account to another in round r.
-// Zero-amount transfers are journaled too (they document a no-trade
-// round); negative or non-finite amounts are rejected.
-func (l *Ledger) Transfer(round int, from, to Account, amount float64, memo string) error {
-	if math.IsNaN(amount) || math.IsInf(amount, 0) {
-		return fmt.Errorf("%w (got %v)", ErrBadAmount, amount)
+// Transfer moves amount from one account to another. Zero amounts
+// are accepted (a no-trade round settles a zero reward); negative or
+// non-finite amounts are rejected without touching any balance.
+func (l *Ledger) Transfer(from, to Account, amount float64) error {
+	if err := checkAmount(amount); err != nil {
+		return err
 	}
-	if amount < 0 {
-		return fmt.Errorf("%w (got %v)", ErrNegativeAmount, amount)
-	}
+	l.move(from, to, amount)
+	return nil
+}
+
+// move books a validated transfer.
+func (l *Ledger) move(from, to Account, amount float64) {
 	l.balances[from] -= amount
 	l.balances[to] += amount
-	l.journal = append(l.journal, Entry{Round: round, From: from, To: to, Amount: amount, Memo: memo})
+}
+
+func checkAmount(v float64) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("%w (got %v)", ErrBadAmount, v)
+	}
+	if v < 0 {
+		return fmt.Errorf("%w (got %v)", ErrNegativeAmount, v)
+	}
 	return nil
 }
 
@@ -84,109 +94,68 @@ func (l *Ledger) TotalImbalance() float64 {
 	return sum
 }
 
-// Entries returns a copy of the journal.
-func (l *Ledger) Entries() []Entry {
-	return append([]Entry(nil), l.journal...)
-}
-
-// EntriesForRound returns the journal entries of one round.
-func (l *Ledger) EntriesForRound(round int) []Entry {
-	var out []Entry
-	for _, e := range l.journal {
-		if e.Round == round {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// Accounts returns all accounts touched so far, sorted.
-func (l *Ledger) Accounts() []Account {
-	out := make([]Account, 0, len(l.balances))
-	for a := range l.balances {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// State is the serializable state of a Ledger: the journal alone.
-// Balances are a pure fold over the journal, so Restore rebuilds them
-// instead of trusting a second copy that could disagree.
+// State is the serializable state of a Ledger: its balances.
 type State struct {
-	Journal []Entry `json:"journal"`
+	Balances map[Account]float64 `json:"balances"`
 }
 
 // State exports the ledger for persistence.
 func (l *Ledger) State() State {
-	return State{Journal: append([]Entry(nil), l.journal...)}
+	bal := make(map[Account]float64, len(l.balances))
+	for a, v := range l.balances {
+		bal[a] = v
+	}
+	return State{Balances: bal}
 }
 
-// Restore replaces the ledger's contents by replaying an exported
-// journal through the same validation as live transfers, so a
-// corrupted snapshot cannot smuggle in a NaN or negative amount.
+// Restore replaces the ledger's contents with exported balances. A
+// corrupted snapshot cannot smuggle in money: every balance must be
+// finite and together they must sum to zero within conservationTol.
 func (l *Ledger) Restore(st State) error {
-	fresh := New()
-	for i, e := range st.Journal {
-		if err := fresh.Transfer(e.Round, e.From, e.To, e.Amount, e.Memo); err != nil {
-			return fmt.Errorf("ledger: journal entry %d: %w", i, err)
+	bal := make(map[Account]float64, len(st.Balances))
+	var sum, abs float64
+	for a, v := range st.Balances {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("%w: %s has balance %v", ErrBadAmount, a, v)
 		}
+		bal[a] = v
+		sum += v
+		abs += math.Abs(v)
 	}
-	l.balances = fresh.balances
-	l.journal = fresh.journal
+	if math.Abs(sum) > conservationTol*abs {
+		return fmt.Errorf("%w: Σ = %g over Σ|·| = %g", ErrImbalance, sum, abs)
+	}
+	l.balances = bal
 	return nil
 }
 
-// SettleRound books one round's CDT payments: the consumer pays the
-// platform reward·1 (p^J·Στ) and the platform pays seller i
-// sellerPay[i] (p·τ_i). Seller indices map to Seller(i) accounts
-// offset by idOffset, letting callers use global seller ids.
-func (l *Ledger) SettleRound(round int, reward float64, sellerPay map[int]float64) error {
-	if err := l.Transfer(round, Consumer, Platform, reward, "data service reward"); err != nil {
-		return err
-	}
-	ids := make([]int, 0, len(sellerPay))
-	for id := range sellerPay {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		if err := l.Transfer(round, Platform, l.sellerAccount(id), sellerPay[id], "data collection reward"); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// SettleRoundSorted is the allocation-free form of SettleRound: ids
-// and pay are parallel slices with ids sorted ascending and free of
-// duplicates (the journal order SettleRound produces). Violations are
-// rejected before anything is booked, so a failed call leaves the
-// ledger untouched.
+// SettleRoundSorted books one round's CDT payments: the consumer pays
+// the platform reward (p^J·Στ) and the platform pays seller ids[j]
+// pay[j] (p·τ_i). ids must be sorted ascending and free of duplicates
+// so the booking order, and with it every rounded balance, is
+// deterministic. Violations are rejected before anything is booked,
+// so a failed call leaves the ledger untouched; round only labels the
+// error.
 func (l *Ledger) SettleRoundSorted(round int, reward float64, ids []int, pay []float64) error {
 	if len(ids) != len(pay) {
-		return fmt.Errorf("ledger: %d seller ids for %d payments", len(ids), len(pay))
+		return fmt.Errorf("ledger: round %d: %d seller ids for %d payments", round, len(ids), len(pay))
 	}
 	for j := 1; j < len(ids); j++ {
 		if ids[j] <= ids[j-1] {
-			return fmt.Errorf("ledger: seller ids not strictly ascending at %d", j)
+			return fmt.Errorf("ledger: round %d: seller ids not strictly ascending at %d", round, j)
 		}
+	}
+	if err := checkAmount(reward); err != nil {
+		return fmt.Errorf("ledger: round %d: %w", round, err)
 	}
 	for _, v := range pay {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("%w (got %v)", ErrBadAmount, v)
-		}
-		if v < 0 {
-			return fmt.Errorf("%w (got %v)", ErrNegativeAmount, v)
+		if err := checkAmount(v); err != nil {
+			return fmt.Errorf("ledger: round %d: %w", round, err)
 		}
 	}
-	if err := l.Transfer(round, Consumer, Platform, reward, "data service reward"); err != nil {
-		return err
-	}
+	l.move(Consumer, Platform, reward)
 	for j, id := range ids {
-		if err := l.Transfer(round, Platform, l.sellerAccount(id), pay[j], "data collection reward"); err != nil {
-			return err
-		}
+		l.move(Platform, l.sellerAccount(id), pay[j])
 	}
 	return nil
 }
@@ -201,22 +170,4 @@ func (l *Ledger) sellerAccount(i int) Account {
 		l.sellers = append(l.sellers, Seller(len(l.sellers)))
 	}
 	return l.sellers[i]
-}
-
-// Commission returns the platform's net take for a round: reward in
-// minus seller payments out.
-func (l *Ledger) Commission(round int) float64 {
-	var in, out float64
-	for _, e := range l.journal {
-		if e.Round != round {
-			continue
-		}
-		if e.To == Platform {
-			in += e.Amount
-		}
-		if e.From == Platform {
-			out += e.Amount
-		}
-	}
-	return in - out
 }

@@ -428,7 +428,7 @@ func (m *Market) CollectReadings(round int, selected []int, estimates []float64)
 
 // Settle books the round's payments from the game outcome: the
 // consumer pays p^J·Στ to the platform, the platform pays p·τ_i to
-// seller i (Definition 5). Journal order is deterministic (sellers in
+// seller i (Definition 5). Booking order is deterministic (sellers in
 // ascending id), and the sort + transfers run on market-owned scratch
 // so a steady-state settlement does not allocate.
 func (m *Market) Settle(round int, selected []int, out *game.Outcome) error {

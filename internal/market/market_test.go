@@ -180,9 +180,6 @@ func TestSettleBooksPayments(t *testing.T) {
 	if imb := l.TotalImbalance(); math.Abs(imb) > 1e-12 {
 		t.Errorf("imbalance %v", imb)
 	}
-	if got := l.Commission(3); got != 16 {
-		t.Errorf("commission %v", got)
-	}
 }
 
 func TestConfigAccessors(t *testing.T) {

@@ -20,10 +20,6 @@ const Eps = 1e-9
 // the requested domain.
 var ErrNoRoot = errors.New("numutil: no real root")
 
-// ErrBadBracket is returned by Bisect when f(lo) and f(hi) do not
-// bracket a sign change.
-var ErrBadBracket = errors.New("numutil: interval does not bracket a root")
-
 // Clamp returns x restricted to [lo, hi]. It panics if lo > hi.
 func Clamp(x, lo, hi float64) float64 {
 	if lo > hi {
@@ -86,35 +82,6 @@ func QuadraticRoots(a, b, c float64) (x1, x2 float64, err error) {
 		x1, x2 = x2, x1
 	}
 	return x1, x2, nil
-}
-
-// Bisect finds a root of f in [lo, hi] assuming f(lo) and f(hi) have
-// opposite signs. It returns a point x with |f(x)| small or the
-// interval narrowed below tol.
-func Bisect(f func(float64) float64, lo, hi, tol float64) (float64, error) {
-	flo, fhi := f(lo), f(hi)
-	if flo == 0 {
-		return lo, nil
-	}
-	if fhi == 0 {
-		return hi, nil
-	}
-	if (flo > 0) == (fhi > 0) {
-		return 0, ErrBadBracket
-	}
-	for hi-lo > tol {
-		mid := lo + (hi-lo)/2
-		fm := f(mid)
-		if fm == 0 {
-			return mid, nil
-		}
-		if (fm > 0) == (flo > 0) {
-			lo, flo = mid, fm
-		} else {
-			hi = mid
-		}
-	}
-	return lo + (hi-lo)/2, nil
 }
 
 // invPhi is the reciprocal golden ratio used by MaximizeGolden.

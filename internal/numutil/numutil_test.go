@@ -120,24 +120,6 @@ func TestQuadraticRootsProperty(t *testing.T) {
 	}
 }
 
-func TestBisect(t *testing.T) {
-	x, err := Bisect(func(x float64) float64 { return x*x - 2 }, 0, 2, 1e-12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !AlmostEqual(x, math.Sqrt2, 1e-9) {
-		t.Errorf("Bisect sqrt2 = %v", x)
-	}
-	if _, err := Bisect(func(x float64) float64 { return 1 }, 0, 1, 1e-9); err != ErrBadBracket {
-		t.Errorf("want ErrBadBracket, got %v", err)
-	}
-	// Endpoint roots are returned directly.
-	x, err = Bisect(func(x float64) float64 { return x }, 0, 1, 1e-9)
-	if err != nil || x != 0 {
-		t.Errorf("endpoint root: got %v, %v", x, err)
-	}
-}
-
 func TestMaximizeGolden(t *testing.T) {
 	// max of -(x-3)² + 7 at x=3
 	x, fx := MaximizeGolden(func(x float64) float64 { return -(x-3)*(x-3) + 7 }, -10, 10, 1e-10)

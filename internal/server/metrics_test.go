@@ -119,8 +119,9 @@ func TestShedCounterAndEnvelope(t *testing.T) {
 	if out.Error.RetryAfterS <= 0 {
 		t.Fatalf("shed envelope retry_after_s %v, want > 0", out.Error.RetryAfterS)
 	}
-	if out.Message != "" {
-		t.Fatalf("legacy top-level message %q present; wire v2 dropped it (LegacyErrors off)", out.Message)
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(rec.Body.Bytes(), &keys); err != nil || len(keys) != 1 || keys["error"] == nil {
+		t.Fatalf("shed envelope %s, want the error object alone", rec.Body.Bytes())
 	}
 
 	snap := s.Metrics().Snapshot()

@@ -431,13 +431,6 @@ type Server struct {
 	// request. Reachable via Tracing().
 	Tracer *tracing.Tracer
 
-	// LegacyErrors restores the deprecated top-level "message" mirror
-	// on error envelopes for pre-envelope clients (wire revision 1).
-	// Default off: the envelope is {"error": {...}} alone. The mirror
-	// is written by the package-wide error choke point, so the setting
-	// is applied process-wide when Handler is built.
-	LegacyErrors bool
-
 	// Logger, if non-nil, receives the per-request access lines and
 	// recovery diagnostics; nil falls back to slog.Default().
 	Logger *slog.Logger
@@ -538,7 +531,6 @@ func (s *Server) pool() *engine.Pool {
 // request metrics, panic recovery, per-request deadlines, and
 // request-body limits (see middleware.go and metrics.go).
 func (s *Server) Handler() http.Handler {
-	legacyErrorMirror.Store(s.LegacyErrors)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/healthz", s.handleHealthz)
 	mux.HandleFunc("/v1/jobs", s.handleJobs)
@@ -719,8 +711,7 @@ func (s *Server) flushWAL(ctx context.Context, j *job) (leaseLost bool) {
 
 // WireVersion is the documented revision of the broker's JSON wire
 // surface, reported in healthz. Revision 2 dropped the deprecated
-// top-level "message" mirror from the error envelope (restorable via
-// Server.LegacyErrors / cdt-server -legacy-errors) and added
+// top-level "message" mirror from the error envelope and added
 // ?limit=/?after= paging to GET /v1/jobs.
 const WireVersion = 2
 
@@ -1523,21 +1514,9 @@ type ErrorBody struct {
 // (wire revision 2, see WireVersion):
 //
 //	{"error": {"code": "...", "message": "...", "retry_after_s": n}}
-//
-// Wire revision 1 additionally mirrored error.message at the top
-// level for clients written against the pre-envelope format; the
-// mirror is gone by default and comes back only behind
-// Server.LegacyErrors (cdt-server -legacy-errors).
 type ErrorResponse struct {
-	Error   ErrorBody `json:"error"`
-	Message string    `json:"message,omitempty"`
+	Error ErrorBody `json:"error"`
 }
-
-// legacyErrorMirror gates the deprecated top-level message mirror.
-// It is package-wide (writeError is a free function shared by every
-// handler path); Handler() applies the owning Server's LegacyErrors
-// setting when the handler chain is built.
-var legacyErrorMirror atomic.Bool
 
 // writeError is the single choke point for error responses: every
 // handler path goes through it (usually via httpError) so the envelope
@@ -1550,11 +1529,7 @@ func writeError(w http.ResponseWriter, status int, code string, after time.Durat
 		body.RetryAfterS = after.Seconds()
 		w.Header().Set("Retry-After", retryAfter(after))
 	}
-	resp := ErrorResponse{Error: body}
-	if legacyErrorMirror.Load() {
-		resp.Message = body.Message
-	}
-	writeJSON(w, status, resp)
+	writeJSON(w, status, ErrorResponse{Error: body})
 }
 
 // httpError writes the envelope with the default code for the status.

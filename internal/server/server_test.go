@@ -160,9 +160,6 @@ func TestJobCreationErrors(t *testing.T) {
 		if out.Error.Code != "invalid_request" || out.Error.Message == "" {
 			t.Errorf("%s: envelope %+v, want code invalid_request with a message", tc.name, out)
 		}
-		if out.Message != "" {
-			t.Errorf("%s: legacy top-level message %q present; wire v2 dropped it (LegacyErrors off)", tc.name, out.Message)
-		}
 	}
 }
 
@@ -403,36 +400,5 @@ func TestListJobsPagination(t *testing.T) {
 	var empty []JobStatus
 	if code := do(t, ts, http.MethodGet, "/v1/jobs?after=zzz", nil, &empty); code != http.StatusOK || len(empty) != 0 {
 		t.Errorf("after past the end: status %d, %d jobs, want 200 with none", code, len(empty))
-	}
-}
-
-// TestLegacyErrorMirror proves the deprecated top-level message is
-// gone by default (wire v2) and restored behind LegacyErrors.
-func TestLegacyErrorMirror(t *testing.T) {
-	s := New()
-	s.LegacyErrors = true
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	// Reset the process-wide mirror for the tests that follow.
-	defer func() { legacyErrorMirror.Store(false) }()
-
-	var out ErrorResponse
-	if code := do(t, ts, http.MethodPost, "/v1/jobs", JobRequest{}, &out); code != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400", code)
-	}
-	if out.Message == "" || out.Message != out.Error.Message {
-		t.Fatalf("-legacy-errors: top-level message %q should mirror error.message %q", out.Message, out.Error.Message)
-	}
-
-	ts2 := newTestServer(t) // default: mirror off
-	var out2 ErrorResponse
-	if code := do(t, ts2, http.MethodPost, "/v1/jobs", JobRequest{}, &out2); code != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400", code)
-	}
-	if out2.Message != "" {
-		t.Fatalf("default envelope still carries legacy message %q", out2.Message)
-	}
-	if out2.Error.Code != "invalid_request" || out2.Error.Message == "" {
-		t.Fatalf("envelope %+v", out2)
 	}
 }

@@ -163,17 +163,12 @@ func (w *WALStore) ResetWAL(id string, base int) error {
 	return w.resetWAL(id, base, 0)
 }
 
-// ResetWALEpoch is ResetWAL with the owner's lease epoch stamped into
-// the segment header (see roundlog.EncodeSegmentHeaderEpoch); the
-// clustered broker uses it so recovery can detect segments written by
-// a later ownership generation.
-func (w *WALStore) ResetWALEpoch(id string, base int, epoch int64) error {
-	return w.resetWAL(id, base, epoch)
-}
-
-// ResetWALFenced is ResetWALEpoch executed under the job's lease lock
-// with a fencing check first: a zombie owner whose lease was stolen
-// cannot truncate its successor's segment.
+// ResetWALFenced is ResetWAL with the owner's lease epoch stamped into
+// the segment header (see roundlog.EncodeSegmentHeaderEpoch), so
+// recovery can detect segments written by a later ownership
+// generation. It runs under the job's lease lock with a fencing check
+// first: a zombie owner whose lease was stolen cannot truncate its
+// successor's segment.
 func (w *WALStore) ResetWALFenced(id string, base int, owner string, epoch int64) error {
 	if err := checkID(id); err != nil {
 		return err

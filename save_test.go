@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -155,6 +156,94 @@ func TestResumeSessionErrors(t *testing.T) {
 	}
 	if _, err := cmabhs.ResumeSession(withUnknown); err == nil {
 		t.Error("unknown envelope field accepted")
+	}
+}
+
+// v1FixtureConfig is the session saved in testdata/session-v1.json.
+func v1FixtureConfig() cmabhs.Config {
+	cfg := cmabhs.RandomConfig(8, 3, 40, 11)
+	cfg.Policy = cmabhs.PolicyThompson
+	cfg.DeliveryRate = 0.9
+	return cfg
+}
+
+// TestResumeVersion1Snapshot: a snapshot written before the ledger
+// kept balances alone (mechanism state version 1, whose ledger was a
+// journal of every transfer) still resumes, and continues exactly as
+// a session that was never interrupted — same Result, and the same
+// bytes when both are saved at the end, ledger balances included.
+//
+// The fixture was written by commit b6d84a4, the last with state
+// version 1, with:
+//
+//	sess, _ := cmabhs.NewSession(v1FixtureConfig())
+//	sess.StepN(15)
+//	data, _ := sess.Save()
+//	os.WriteFile("testdata/session-v1.json", data, 0o644)
+func TestResumeVersion1Snapshot(t *testing.T) {
+	data, err := os.ReadFile("testdata/session-v1.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(data, []byte(`"journal":[`)) {
+		t.Fatal("fixture is not a version-1 snapshot")
+	}
+	resumed, err := cmabhs.ResumeSession(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed.NextRound() != 16 {
+		t.Fatalf("resumed at round %d, want 16", resumed.NextRound())
+	}
+	ref, err := cmabhs.NewSession(v1FixtureConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*cmabhs.Session{resumed, ref} {
+		if _, err := s.StepN(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !resultsIdentical(ref.Result(), resumed.Result()) {
+		t.Errorf("resumed result differs from uninterrupted run:\nref %+v\ngot %+v", ref.Result(), resumed.Result())
+	}
+	a, err := ref.Save()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := resumed.Save()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Error("resumed session saves different state than the uninterrupted one")
+	}
+}
+
+// TestSaveSizeBoundedByMK: a session's snapshot is bounded by M and K,
+// not by the rounds played — at M=100, K=10 it is the same size
+// within 1% after 1k and after 10k rounds, and both resume.
+func TestSaveSizeBoundedByMK(t *testing.T) {
+	sess, err := cmabhs.NewSession(cmabhs.RandomConfig(100, 10, 10000, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sizes []int
+	for _, n := range []int{1000, 9000} {
+		if _, err := sess.Advance(n); err != nil {
+			t.Fatal(err)
+		}
+		data, err := sess.Save()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cmabhs.ResumeSession(data); err != nil {
+			t.Fatalf("round %d: %v", sess.NextRound()-1, err)
+		}
+		sizes = append(sizes, len(data))
+	}
+	if d := math.Abs(float64(sizes[1]-sizes[0])) / float64(sizes[0]); d > 0.01 {
+		t.Errorf("snapshot grew from %d bytes at 1k rounds to %d at 10k (%.1f%%)", sizes[0], sizes[1], 100*d)
 	}
 }
 
