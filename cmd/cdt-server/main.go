@@ -1,18 +1,19 @@
 // Command cdt-server runs the CDT broker as an HTTP/JSON service.
 //
-//	cdt-server -addr :8080 [-state-dir /var/lib/cdt [-wal] [-compact-every n]]
+//	cdt-server -addr :8080 [-state-dir /var/lib/cdt [-compact-every n]]
 //	           [-node-id a -peers a=http://...,b=http://... [-lease-ttl 10s]]
 //	           [-shards n] [-debug-addr :6060]
 //	           [-log-format text|json] [-log-level debug|info|warn|error]
 //
-// With -state-dir set, jobs are snapshotted to disk on graceful
+// With -state-dir set, the broker is durable round by round: each job
+// gets a base snapshot when it is created and a per-job write-ahead
+// round log that every advance appends the rounds it played to before
+// answering. The log's tail is folded into a fresh snapshot every
+// -compact-every rounds, jobs are also snapshotted on graceful
 // shutdown (SIGINT/SIGTERM) and on POST /v1/jobs/{id}/snapshot, and
-// reloaded at the persisted round on the next start. Adding -wal
-// additionally keeps a per-job write-ahead round log: every advance
-// appends the rounds it played, the tail is folded into a fresh
-// snapshot every -compact-every rounds, and recovery after a crash
-// (kill -9 included) replays the WAL tail on top of the last snapshot
-// — round-granular durability instead of last-explicit-snapshot.
+// recovery after a crash (kill -9 included) replays the log's tail on
+// top of the last snapshot, so a job resumes at the round its last
+// advance reached.
 //
 // With -peers and -node-id set (requires -state-dir; the directory
 // must be shared by every listed node), the broker runs as one node
@@ -94,8 +95,7 @@ func main() {
 		maxInflight = flag.Int("max-concurrent-advances", 16, "maximum advance calls executing at once")
 		shards      = flag.Int("shards", 16, "job-registry lock stripes (rounded up to a power of two)")
 		stateDir    = flag.String("state-dir", "", "directory for durable job snapshots (empty: in-memory only)")
-		useWAL      = flag.Bool("wal", false, "with -state-dir: keep a per-job write-ahead round log next to the snapshots, making crash recovery round-granular")
-		compactEvry = flag.Int("compact-every", 4096, "with -wal: fold a job's WAL tail into a fresh snapshot once it holds this many rounds")
+		compactEvry = flag.Int("compact-every", 4096, "with -state-dir: fold a job's WAL tail into a fresh snapshot once it holds this many rounds")
 		reqTimeout  = flag.Duration("request-timeout", 2*time.Minute, "per-request deadline; advances return partial progress at expiry (0: none)")
 		maxBody     = flag.Int64("max-body-bytes", 1<<20, "maximum request body size in bytes (413 past this)")
 		shedAfter   = flag.Duration("shed-retry-after", time.Second, "Retry-After hint sent with 429 when the advance pool is saturated")
@@ -140,14 +140,9 @@ func main() {
 			LeaseTTL: *leaseTTL,
 		}
 	}
+	var store *server.WALStore
 	if *stateDir != "" {
-		var store server.Store
-		var err error
-		if *useWAL {
-			store, err = server.NewWALStore(*stateDir)
-		} else {
-			store, err = server.NewFileStore(*stateDir)
-		}
+		store, err = server.NewWALStore(*stateDir)
 		if err != nil {
 			lg.Error("open state dir", "error", err)
 			os.Exit(1)
@@ -217,7 +212,7 @@ func main() {
 	// ListenAndServe returns as soon as Shutdown closes the listener;
 	// in-flight requests (e.g. a long advance) are still draining.
 	<-drained
-	if srv.Store != nil {
+	if store != nil {
 		// Snapshot after the drain so in-flight advances are included.
 		if err := srv.SaveAll(); err != nil {
 			lg.Error("snapshot jobs", "error", err)
@@ -228,9 +223,7 @@ func main() {
 		// the jobs immediately (no TTL wait) and resume from the state
 		// just saved.
 		srv.ReleaseOwnedLeases()
-		if ws, ok := srv.Store.(*server.WALStore); ok {
-			_ = ws.Close() // appends are already fsynced; just release handles
-		}
+		_ = store.Close() // appends are already fsynced; just release handles
 	}
 	lg.Info("stopped")
 }

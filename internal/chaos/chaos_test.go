@@ -154,7 +154,7 @@ func TestSessionKillResume(t *testing.T) {
 }
 
 // TestBrokerKillResume checks the outermost layer: a broker with a
-// FileStore is killed (SaveAll + new Server) mid-job and the reloaded
+// WALStore is killed (SaveAll + new Server) mid-job and the reloaded
 // job must finish identically to one advanced without interruption.
 func TestBrokerKillResume(t *testing.T) {
 	req := `{"random_sellers":12,"k":4,"rounds":70,"seed":9,` +
@@ -169,10 +169,11 @@ func TestBrokerKillResume(t *testing.T) {
 	// Crash arm: advance 20 rounds, snapshot to disk, "crash", load
 	// into a brand-new broker, finish.
 	dir := t.TempDir()
-	store, err := server.NewFileStore(dir)
+	store, err := server.NewWALStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer store.Close()
 	s1 := server.New()
 	s1.Store = store
 	id := createJob(t, s1.Handler(), req)

@@ -49,7 +49,7 @@ func bootNode(t *testing.T, dir, nodeID string, clk *failoverClock) (*server.Ser
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws.SetNow(clk.Now)
+	ws.Now = clk.Now
 	s := server.New()
 	s.Store = ws
 	s.CompactEvery = 16

@@ -13,6 +13,30 @@ import (
 	"cmabhs/internal/rng"
 )
 
+// exactQuality observes every seller's expected quality exactly: a
+// noise-free model for estimator tests.
+type exactQuality []float64
+
+func (q exactQuality) Expected(i int) float64      { return q[i] }
+func (q exactQuality) Observe(i, _, _ int) float64 { return q[i] }
+func (q exactQuality) Sellers() int                { return len(q) }
+
+// bernoulliQuality observes 1 with probability q_i and 0 otherwise:
+// bandit feedback with the paper's means but maximal variance.
+type bernoulliQuality struct {
+	means []float64
+	src   *rng.Source
+}
+
+func (q bernoulliQuality) Expected(i int) float64 { return q.means[i] }
+func (q bernoulliQuality) Sellers() int           { return len(q.means) }
+func (q bernoulliQuality) Observe(i, _, _ int) float64 {
+	if q.src.Float64() < q.means[i] {
+		return 1
+	}
+	return 0
+}
+
 // testConfig builds a small market: m sellers with spread-out
 // qualities and Table II cost ranges, n rounds, l PoIs.
 func testConfig(t *testing.T, m, k, n, l int, seed int64) (*Config, []float64) {
@@ -137,10 +161,7 @@ func TestRunDeterministicQualityConvergesToOracle(t *testing.T) {
 	// for forced exploration of the confidence terms.
 	m, k := 6, 2
 	means := []float64{0.9, 0.8, 0.5, 0.4, 0.3, 0.2}
-	model, err := quality.NewDeterministic(means)
-	if err != nil {
-		t.Fatal(err)
-	}
+	model := exactQuality(means)
 	src := rng.New(5)
 	sellers := make([]market.SellerSpec, m)
 	for i := range sellers {
@@ -307,7 +328,10 @@ func TestSolverString(t *testing.T) {
 func BenchmarkRunRound(b *testing.B) {
 	src := rng.New(1)
 	m := 300
-	means := quality.RandomMeans(m, 0, 1, src)
+	means := make([]float64, m)
+	for i := range means {
+		means[i] = src.Uniform(0, 1)
+	}
 	sellers := make([]market.SellerSpec, m)
 	for i := range sellers {
 		sellers[i] = market.SellerSpec{Cost: economics.SellerCost{

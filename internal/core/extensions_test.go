@@ -387,11 +387,7 @@ func TestRunRandomizedSoak(t *testing.T) {
 			}
 			cfg.Market.Quality = model
 		case 2:
-			model, err := quality.NewBernoulli(means, src.Split(int64(trial)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg.Market.Quality = model
+			cfg.Market.Quality = bernoulliQuality{means: means, src: src.Split(int64(trial))}
 		}
 		if src.Intn(3) == 0 {
 			dep := make([]int, m)

@@ -44,7 +44,7 @@ func ExtAuction(ctx context.Context, s Settings) ([]Figure, error) {
 		src := rng.New(s.Seed).Split(int64(xi*27644437 + rep))
 		inst := s.NewInstance(src, s.M, s.K, horizon)
 
-		res, err := runMech(ctx, inst.Config, bandit.UCBGreedy{})
+		res, err := runMech(ctx, inst.Config, bandit.NewIncrementalUCB())
 		if err != nil {
 			return err
 		}

@@ -18,13 +18,7 @@ func TestValidation(t *testing.T) {
 	if _, err := NewTruncGaussian([]float64{0.5}, -0.1, src); err == nil {
 		t.Error("negative sd should be rejected")
 	}
-	if _, err := NewBernoulli([]float64{2}, src); err == nil {
-		t.Error("Bernoulli should validate expectations")
-	}
-	if _, err := NewBeta([]float64{0.5}, 0, src); err == nil {
-		t.Error("non-positive concentration should be rejected")
-	}
-	if _, err := NewDeterministic([]float64{0.5, 0, 1}); err != nil {
+	if _, err := NewTruncGaussian([]float64{0.5, 0, 1}, 0.1, src); err != nil {
 		t.Errorf("boundary expectations are valid: %v", err)
 	}
 }
@@ -72,60 +66,6 @@ func TestTruncGaussianObservations(t *testing.T) {
 	}
 }
 
-func TestBernoulliObservations(t *testing.T) {
-	m, err := NewBernoulli([]float64{0.25}, rng.New(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum float64
-	n := 50000
-	for i := 0; i < n; i++ {
-		v := m.Observe(0, 0, i)
-		if v != 0 && v != 1 {
-			t.Fatalf("non-binary observation %v", v)
-		}
-		sum += v
-	}
-	if math.Abs(sum/float64(n)-0.25) > 0.01 {
-		t.Errorf("empirical mean %v", sum/float64(n))
-	}
-}
-
-func TestBetaObservations(t *testing.T) {
-	m, err := NewBeta([]float64{0.6, 0, 1}, 20, rng.New(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum float64
-	n := 50000
-	for i := 0; i < n; i++ {
-		v := m.Observe(0, 0, i)
-		if v < 0 || v > 1 {
-			t.Fatalf("observation out of range: %v", v)
-		}
-		sum += v
-	}
-	if math.Abs(sum/float64(n)-0.6) > 0.01 {
-		t.Errorf("empirical mean %v", sum/float64(n))
-	}
-	// Degenerate means pass through exactly.
-	if m.Observe(1, 0, 0) != 0 || m.Observe(2, 0, 0) != 1 {
-		t.Error("degenerate means should be returned exactly")
-	}
-}
-
-func TestDeterministic(t *testing.T) {
-	m, err := NewDeterministic([]float64{0.42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if m.Observe(0, i, i) != 0.42 {
-			t.Fatal("deterministic model must return the mean")
-		}
-	}
-}
-
 func TestObserveReproducible(t *testing.T) {
 	mk := func() Model {
 		m, err := NewTruncGaussian([]float64{0.5, 0.9}, 0.2, rng.New(77))
@@ -143,7 +83,7 @@ func TestObserveReproducible(t *testing.T) {
 }
 
 func TestObservePanicsOnBadIndices(t *testing.T) {
-	m, err := NewDeterministic([]float64{0.5})
+	m, err := NewTruncGaussian([]float64{0.5}, 0.1, rng.New(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,71 +101,5 @@ func TestObservePanicsOnBadIndices(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-}
-
-func TestRandomMeans(t *testing.T) {
-	src := rng.New(6)
-	means := RandomMeans(500, 0.2, 0.8, src)
-	if len(means) != 500 {
-		t.Fatalf("len = %d", len(means))
-	}
-	var sum float64
-	for _, m := range means {
-		if m < 0.2 || m > 0.8 {
-			t.Fatalf("mean %v outside [0.2, 0.8]", m)
-		}
-		sum += m
-	}
-	if math.Abs(sum/500-0.5) > 0.05 {
-		t.Errorf("means not centered: %v", sum/500)
-	}
-}
-
-func TestPoIBiased(t *testing.T) {
-	src := rng.New(21)
-	m, err := NewPoIBiased([]float64{0.5, 0.8}, 6, 0.2, 0.05, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Sellers() != 2 || m.Expected(0) != 0.5 {
-		t.Fatal("accessors wrong")
-	}
-	// Per-PoI means differ but average to the seller mean.
-	var sum float64
-	distinct := false
-	first := m.ExpectedAtPoI(0, 0)
-	for l := 0; l < 6; l++ {
-		q := m.ExpectedAtPoI(0, l)
-		if q != first {
-			distinct = true
-		}
-		sum += m.means[0] + m.bias[0][l] // unclamped for the mean identity
-	}
-	if !distinct {
-		t.Error("per-PoI qualities should differ")
-	}
-	if math.Abs(sum/6-0.5) > 1e-12 {
-		t.Errorf("across-PoI mean %v, want 0.5", sum/6)
-	}
-	// Observations at one PoI concentrate around its biased mean.
-	var obs float64
-	n := 20000
-	for i := 0; i < n; i++ {
-		v := m.Observe(0, 2, i)
-		if v < 0 || v > 1 {
-			t.Fatalf("observation %v out of range", v)
-		}
-		obs += v
-	}
-	if math.Abs(obs/float64(n)-m.ExpectedAtPoI(0, 2)) > 0.01 {
-		t.Errorf("observed mean %v, want ≈%v", obs/float64(n), m.ExpectedAtPoI(0, 2))
-	}
-	// Validation.
-	if _, err := NewPoIBiased([]float64{0.5}, 0, 0.1, 0.1, src); err == nil {
-		t.Error("zero PoIs should fail")
-	}
-	if _, err := NewPoIBiased([]float64{0.5}, 3, -1, 0.1, src); err == nil {
-		t.Error("negative spread should fail")
 	}
 }

@@ -1,6 +1,6 @@
 // Package rng provides the deterministic random sources the simulator
 // is built on: truncated Gaussian observations (the paper's quality
-// noise model), Beta and Bernoulli variates, bounded uniforms, and
+// noise model), Beta and other variates, bounded uniforms, and
 // splittable seeding so parallel parameter sweeps stay reproducible.
 //
 // Every Source owns a splitmix64 generator whose complete state is two
@@ -116,9 +116,6 @@ func (s *Source) Intn(n int) int {
 	return int(s.uint64n(uint64(n)))
 }
 
-// Int63 returns a non-negative uniform int64.
-func (s *Source) Int63() int64 { return int64(s.next() >> 1) }
-
 // Perm returns a random permutation of [0, n).
 func (s *Source) Perm(n int) []int {
 	p := make([]int, n)
@@ -174,15 +171,6 @@ func (s *Source) TruncNormal(mean, sd, lo, hi float64) float64 {
 		}
 	}
 	return clamp(s.Normal(mean, sd), lo, hi)
-}
-
-// Bernoulli returns 1 with probability p, else 0. p is clamped to
-// [0, 1].
-func (s *Source) Bernoulli(p float64) float64 {
-	if s.Float64() < clamp(p, 0, 1) {
-		return 1
-	}
-	return 0
 }
 
 // Exponential returns an exponential variate with the given rate.

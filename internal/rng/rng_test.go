@@ -217,29 +217,6 @@ func TestTruncNormalPanicsOnInvertedBounds(t *testing.T) {
 	New(1).TruncNormal(0, 1, 1, 0)
 }
 
-func TestBernoulli(t *testing.T) {
-	s := New(8)
-	n := 100000
-	var ones float64
-	for i := 0; i < n; i++ {
-		v := s.Bernoulli(0.3)
-		if v != 0 && v != 1 {
-			t.Fatalf("Bernoulli produced %v", v)
-		}
-		ones += v
-	}
-	p := ones / float64(n)
-	if math.Abs(p-0.3) > 0.01 {
-		t.Errorf("empirical p = %v, want ≈0.3", p)
-	}
-	if s.Bernoulli(-1) != 0 {
-		t.Error("p<0 must always give 0")
-	}
-	if s.Bernoulli(2) != 1 {
-		t.Error("p>1 must always give 1")
-	}
-}
-
 func TestGammaMoments(t *testing.T) {
 	s := New(9)
 	for _, shape := range []float64{0.5, 1, 2.5, 10} {

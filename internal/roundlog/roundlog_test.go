@@ -18,7 +18,10 @@ import (
 func runWithJournal(t *testing.T) (*bytes.Buffer, *core.Result) {
 	t.Helper()
 	src := rng.New(3)
-	means := quality.RandomMeans(10, 0.05, 0.95, src)
+	means := make([]float64, 10)
+	for i := range means {
+		means[i] = src.Uniform(0.05, 0.95)
+	}
 	model, err := quality.NewTruncGaussian(means, 0.1, src.Split(1))
 	if err != nil {
 		t.Fatal(err)

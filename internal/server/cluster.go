@@ -11,8 +11,8 @@ import (
 
 // Multi-node operation. A Cluster names this node, the static peer
 // list sharing the state directory, and the lease cadence. With it
-// set (and a LeaseStore-capable Store), the broker becomes one node of
-// a horizontally scaled service:
+// set (and a Store), the broker becomes one node of a horizontally
+// scaled service:
 //
 //   - every job it serves is backed by a lease it holds and renews;
 //   - requests for jobs another node owns are transparently proxied
@@ -46,7 +46,7 @@ type Cluster struct {
 	Client *http.Client
 	// Now replaces wall time in ownership decisions (tests drive
 	// failover clocks through it); nil means time.Now. Set the same
-	// clock on the FileStore/WALStore so both layers agree.
+	// clock as the WALStore's Now so both layers agree.
 	Now func() time.Time
 }
 
@@ -84,14 +84,6 @@ func (c *Cluster) peer(id string) (Peer, bool) {
 // clustered reports whether this broker runs in multi-node mode.
 func (s *Server) clustered() bool { return s.Cluster != nil }
 
-// leaseStore returns the Store's lease extension, or nil.
-func (s *Server) leaseStore() LeaseStore {
-	if ls, ok := s.Store.(LeaseStore); ok {
-		return ls
-	}
-	return nil
-}
-
 // ValidateCluster checks the Cluster configuration against the Store;
 // cdt-server calls it at boot so misconfiguration fails fast.
 func (s *Server) ValidateCluster() error {
@@ -105,8 +97,8 @@ func (s *Server) ValidateCluster() error {
 	if _, ok := c.peer(c.NodeID); !ok {
 		return fmt.Errorf("server: node id %q not in peer list", c.NodeID)
 	}
-	if s.leaseStore() == nil {
-		return errors.New("server: -peers needs a lease-capable store (-state-dir)")
+	if s.Store == nil {
+		return errors.New("server: -peers needs a shared store (-state-dir)")
 	}
 	return nil
 }
@@ -137,7 +129,7 @@ func (s *Server) fence(j *job) error {
 	if !s.clustered() || j.lease == nil {
 		return nil
 	}
-	return s.leaseStore().CheckLease(j.id, j.lease.Owner, j.lease.Epoch)
+	return s.Store.CheckLease(j.id, j.lease.Owner, j.lease.Epoch)
 }
 
 // evictLostJob drops a job whose lease was stolen: it is removed from
@@ -185,8 +177,7 @@ func (s *Server) takeover(ctx context.Context, id string) (*job, error) {
 	if j, ok := s.registry().get(id); ok {
 		return j, nil
 	}
-	ls := s.leaseStore()
-	lease, err := ls.AcquireLease(id, s.Cluster.NodeID, s.Cluster.ttl())
+	lease, err := s.Store.AcquireLease(id, s.Cluster.NodeID, s.Cluster.ttl())
 	if err != nil {
 		return nil, err
 	}
@@ -222,17 +213,16 @@ func (s *Server) claimable(id string, l *Lease) bool {
 // evicts any whose lease was stolen. It returns the number of renewal
 // failures; the lease loop calls it every RenewEvery.
 func (s *Server) RenewOwnedLeases() int {
-	if !s.clustered() || s.leaseStore() == nil {
+	if !s.clustered() {
 		return 0
 	}
-	ls := s.leaseStore()
 	failures := 0
 	for _, j := range s.registry().snapshot() {
 		l := j.leaseFor()
 		if l == nil {
 			continue
 		}
-		renewed, err := ls.RenewLease(j.id, l.Owner, l.Epoch, s.Cluster.ttl())
+		renewed, err := s.Store.RenewLease(j.id, l.Owner, l.Epoch, s.Cluster.ttl())
 		if err != nil {
 			failures++
 			s.met().leaseRenewFailures.Inc()
@@ -258,11 +248,10 @@ func (s *Server) RenewOwnedLeases() int {
 // number adopted; the lease loop calls it so failover happens even
 // when no request for the orphan arrives.
 func (s *Server) AdoptOrphans(ctx context.Context) int {
-	if !s.clustered() || s.leaseStore() == nil {
+	if !s.clustered() {
 		return 0
 	}
-	ls := s.leaseStore()
-	ids, err := ls.List()
+	ids, err := s.Store.List()
 	if err != nil {
 		s.logger().Error("orphan scan", "error", err)
 		return 0
@@ -272,7 +261,7 @@ func (s *Server) AdoptOrphans(ctx context.Context) int {
 		if _, ok := s.registry().get(id); ok {
 			continue
 		}
-		l, err := ls.LoadLease(id)
+		l, err := s.Store.LoadLease(id)
 		if err != nil || !s.claimable(id, l) {
 			continue
 		}
@@ -291,16 +280,15 @@ func (s *Server) AdoptOrphans(ctx context.Context) int {
 // graceful-shutdown handoff that lets peers adopt the jobs immediately
 // instead of waiting out the TTL. Call it AFTER SaveAll.
 func (s *Server) ReleaseOwnedLeases() {
-	if !s.clustered() || s.leaseStore() == nil {
+	if !s.clustered() {
 		return
 	}
-	ls := s.leaseStore()
 	for _, j := range s.registry().snapshot() {
 		l := j.leaseFor()
 		if l == nil {
 			continue
 		}
-		if err := ls.ReleaseLease(j.id, l.Owner, l.Epoch); err != nil {
+		if err := s.Store.ReleaseLease(j.id, l.Owner, l.Epoch); err != nil {
 			s.logger().Error("lease release", "job_id", j.id, "error", err)
 			continue
 		}
@@ -327,12 +315,10 @@ func (s *Server) RunLeaseLoop(ctx context.Context) {
 		case <-t.C:
 			s.RenewOwnedLeases()
 			s.AdoptOrphans(ctx)
-			if ls := s.leaseStore(); ls != nil {
-				if n, err := ls.SweepLeases(); err != nil {
-					s.logger().Error("lease sweep", "error", err)
-				} else if n > 0 {
-					s.logger().Info("lease sweep", "removed", n)
-				}
+			if n, err := s.Store.SweepLeases(); err != nil {
+				s.logger().Error("lease sweep", "error", err)
+			} else if n > 0 {
+				s.logger().Info("lease sweep", "removed", n)
 			}
 		}
 	}

@@ -44,7 +44,7 @@ func newTestCluster(t *testing.T, dir string, clk *fakeClock, ids ...string) map
 		if err != nil {
 			t.Fatal(err)
 		}
-		ws.SetNow(clk.Now)
+		ws.Now = clk.Now
 		s := New()
 		s.Store = ws
 		s.CompactEvery = 16

@@ -107,10 +107,10 @@ func (h *eventHub) publish(ev JobEvent) {
 // every advance call (it runs on the advance goroutine, which holds
 // j.mu). It fans the borrowed event out to the tracing hook, encodes
 // the round in place onto the write-ahead buffer when the broker runs
-// on a RoundWAL store (the borrowed slices are read, never retained),
-// and, only when someone is listening, copies it onto the wire form
-// for the hub — so an unwatched, untraced advance on a snapshot-only
-// store pays three cheap checks.
+// with a Store (the borrowed slices are read, never retained), and,
+// only when someone is listening, copies it onto the wire form for the
+// hub — so an unwatched, untraced advance on an in-memory broker pays
+// three cheap checks.
 func (j *job) observe(ev *cmabhs.RoundEvent) {
 	if j.traceHook != nil {
 		j.traceHook(ev)

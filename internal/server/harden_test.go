@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -158,41 +160,28 @@ func TestRequestDeadline(t *testing.T) {
 	}
 }
 
-// flakyStore is an in-memory Store whose first n Save calls fail.
+// flakyStore wraps a real WALStore and fails its next `failures`
+// Save calls. Tests arm it after creating their job, because creation
+// writes the job's base snapshot through the same Save.
 type flakyStore struct {
+	*WALStore
 	failures int
 	calls    int
-	saved    map[string][]byte
 }
+
+func newFlakyStore(t *testing.T) *flakyStore {
+	return &flakyStore{WALStore: newWALStore(t)}
+}
+
+// arm counts Save calls from zero and fails the next n of them.
+func (f *flakyStore) arm(n int) { f.calls, f.failures = 0, n }
 
 func (f *flakyStore) Save(id string, data []byte) error {
 	f.calls++
 	if f.calls <= f.failures {
 		return errors.New("transient store outage")
 	}
-	if f.saved == nil {
-		f.saved = make(map[string][]byte)
-	}
-	f.saved[id] = append([]byte(nil), data...)
-	return nil
-}
-
-func (f *flakyStore) Load(id string) ([]byte, error) {
-	data, ok := f.saved[id]
-	if !ok {
-		return nil, errors.New("no snapshot")
-	}
-	return data, nil
-}
-
-func (f *flakyStore) Delete(id string) error { delete(f.saved, id); return nil }
-
-func (f *flakyStore) List() ([]string, error) {
-	var ids []string
-	for id := range f.saved {
-		ids = append(ids, id)
-	}
-	return ids, nil
+	return f.WALStore.Save(id, data)
 }
 
 // instantRetry is a no-wait retry policy for tests.
@@ -208,12 +197,18 @@ func instantRetry(attempts int) engine.RetryPolicy {
 // out transient store outages: Save fails twice, the retry loop keeps
 // going, and the snapshot lands.
 func TestSnapshotRetriesTransientStoreFailure(t *testing.T) {
-	store := &flakyStore{failures: 2}
+	store := newFlakyStore(t)
 	s := New()
 	s.Store = store
 	s.StoreRetry = instantRetry(3)
 	h := s.Handler()
 	st := createJob(t, h)
+	// Move the job past its base snapshot, so the snapshot below is
+	// new bytes, not the one creation already stored.
+	if code, _ := advance(t, h, nil, st.ID, 5); code != http.StatusOK {
+		t.Fatalf("advance status %d", code)
+	}
+	store.arm(2)
 
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs/"+st.ID+"/snapshot", nil))
@@ -223,13 +218,18 @@ func TestSnapshotRetriesTransientStoreFailure(t *testing.T) {
 	if store.calls != 3 {
 		t.Fatalf("store saw %d Save calls, want 3 (2 failures + 1 success)", store.calls)
 	}
-	if _, err := store.Load(st.ID); err != nil {
-		t.Fatalf("snapshot not persisted after retries: %v", err)
+	var snap SnapshotResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := store.Load(st.ID); err != nil || !bytes.Equal(got, snap.Snapshot) {
+		t.Fatalf("snapshot not persisted after retries: err %v", err)
 	}
 
 	// A store that never recovers surfaces as a 500 once attempts run
 	// out — bounded, not infinite, retrying.
-	dead := &flakyStore{failures: 1 << 30}
+	dead := newFlakyStore(t)
+	dead.arm(1 << 30)
 	s.Store = dead
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs/"+st.ID+"/snapshot", nil))

@@ -31,7 +31,7 @@ import (
 // file (`<id>.lease.lock`), and the record itself is replaced with a
 // temp-file + rename, so concurrent brokers racing Acquire/Renew/Steal
 // observe each other's writes atomically — the same crash-safety idiom
-// FileStore.Save uses for snapshots. FencedSave runs the snapshot
+// fileStore.Save uses for snapshots. FencedSave runs the snapshot
 // rename INSIDE that lock, making snapshot fencing atomic with respect
 // to a concurrent steal, not merely check-then-write.
 
@@ -68,55 +68,7 @@ var (
 	ErrLeaseLost = errors.New("server: lease lost (stolen at a higher epoch)")
 )
 
-// LeaseStore is the optional Store extension for multi-node job
-// ownership, layered exactly like RoundWAL: FileStore (and therefore
-// WALStore) implements it, single-node deployments never touch it.
-type LeaseStore interface {
-	Store
-
-	// AcquireLease acquires or renews id's lease for owner with the
-	// given ttl: granted fresh at epoch 1, extended in place when owner
-	// already holds it, stolen at epoch+1 when the current lease is
-	// expired (past its grace). An unexpired foreign lease returns
-	// ErrLeaseHeld.
-	AcquireLease(id, owner string, ttl time.Duration) (Lease, error)
-
-	// RenewLease extends the expiry of a lease owner holds at exactly
-	// the given epoch. Any mismatch — stolen, released, missing —
-	// returns ErrLeaseLost.
-	RenewLease(id, owner string, epoch int64, ttl time.Duration) (Lease, error)
-
-	// ReleaseLease removes id's lease if owner holds it at epoch
-	// (graceful shutdown / handoff). A mismatched or missing lease
-	// returns ErrLeaseLost; the job itself is untouched either way.
-	ReleaseLease(id, owner string, epoch int64) error
-
-	// LoadLease returns id's current lease, or nil when none exists. A
-	// corrupt record (a crashed writer's leftovers) is treated as
-	// absent and counted in LeaseStats.Corrupt rather than bricking
-	// the job.
-	LoadLease(id string) (*Lease, error)
-
-	// CheckLease is the fencing read: nil iff id's lease is held by
-	// exactly (owner, epoch); ErrLeaseLost otherwise.
-	CheckLease(id, owner string, epoch int64) error
-
-	// FencedSave writes a snapshot only while (owner, epoch) still
-	// holds id's lease, atomically with respect to concurrent lease
-	// mutations — a zombie owner's snapshot can never clobber its
-	// successor's.
-	FencedSave(id string, data []byte, owner string, epoch int64) error
-
-	// SweepLeases garbage-collects lease debris: expired leases whose
-	// job snapshot no longer exists, and stale lock files left by
-	// crashed writers. It returns the number of files removed.
-	SweepLeases() (int, error)
-
-	// LeaseStats reports the protocol counters for healthz/metrics.
-	LeaseStats() LeaseStats
-}
-
-// LeaseStats is the point-in-time view of a LeaseStore's activity.
+// LeaseStats is the point-in-time view of the lease protocol's activity.
 type LeaseStats struct {
 	// Acquired counts fresh grants and renewals-via-acquire.
 	Acquired uint64 `json:"acquired"`
@@ -143,8 +95,8 @@ const leaseGrace = 500 * time.Millisecond
 // removing it.
 const lockStaleAfter = 5 * time.Second
 
-func (f *FileStore) leasePath(id string) string { return f.path(id) + leaseSuffix }
-func (f *FileStore) lockPath(id string) string  { return f.path(id) + leaseLockSuffix }
+func (f *fileStore) leasePath(id string) string { return f.path(id) + leaseSuffix }
+func (f *fileStore) lockPath(id string) string  { return f.path(id) + leaseLockSuffix }
 
 const (
 	leaseSuffix     = ".lease"
@@ -153,7 +105,7 @@ const (
 
 // now returns the store's clock — the Now field when set (tests inject
 // a fake clock through it), wall time otherwise.
-func (f *FileStore) now() time.Time {
+func (f *fileStore) now() time.Time {
 	if f.Now != nil {
 		return f.Now()
 	}
@@ -164,7 +116,7 @@ func (f *FileStore) now() time.Time {
 // is the cross-process serialization point for every lease mutation
 // and fenced write; a stale lock (older than lockStaleAfter) left by a
 // crashed writer is broken.
-func (f *FileStore) withLeaseLock(id string, fn func() error) error {
+func (f *fileStore) withLeaseLock(id string, fn func() error) error {
 	lock := f.lockPath(id)
 	for attempt := 0; ; attempt++ {
 		h, err := os.OpenFile(lock, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
@@ -195,7 +147,7 @@ func (f *FileStore) withLeaseLock(id string, fn func() error) error {
 // lock (or accepts a point-in-time read). Corrupt records are treated
 // as absent: they are a crashed writer's debris, and treating them as
 // fatal would strand the job forever.
-func (f *FileStore) loadLeaseLocked(id string) (*Lease, error) {
+func (f *fileStore) loadLeaseLocked(id string) (*Lease, error) {
 	data, err := os.ReadFile(f.leasePath(id))
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, nil
@@ -213,7 +165,7 @@ func (f *FileStore) loadLeaseLocked(id string) (*Lease, error) {
 
 // writeLeaseLocked atomically replaces id's lease record. Caller
 // holds the lease lock.
-func (f *FileStore) writeLeaseLocked(id string, l Lease) error {
+func (f *fileStore) writeLeaseLocked(id string, l Lease) error {
 	data, err := json.Marshal(l)
 	if err != nil {
 		return fmt.Errorf("server: lease save %s: %w", id, err)
@@ -239,8 +191,8 @@ func (f *FileStore) writeLeaseLocked(id string, l Lease) error {
 	return nil
 }
 
-// AcquireLease implements LeaseStore.
-func (f *FileStore) AcquireLease(id, owner string, ttl time.Duration) (Lease, error) {
+// AcquireLease implements Store.
+func (f *fileStore) AcquireLease(id, owner string, ttl time.Duration) (Lease, error) {
 	if err := checkID(id); err != nil {
 		return Lease{}, err
 	}
@@ -276,10 +228,10 @@ func (f *FileStore) AcquireLease(id, owner string, ttl time.Duration) (Lease, er
 	return out, err
 }
 
-// RenewLease implements LeaseStore. Unlike AcquireLease it demands an
+// RenewLease implements Store. Unlike AcquireLease it demands an
 // exact (owner, epoch) match: a zombie that lost its lease must learn
 // so, not silently re-acquire at a new epoch.
-func (f *FileStore) RenewLease(id, owner string, epoch int64, ttl time.Duration) (Lease, error) {
+func (f *fileStore) RenewLease(id, owner string, epoch int64, ttl time.Duration) (Lease, error) {
 	if err := checkID(id); err != nil {
 		return Lease{}, err
 	}
@@ -303,8 +255,8 @@ func (f *FileStore) RenewLease(id, owner string, epoch int64, ttl time.Duration)
 	return out, err
 }
 
-// ReleaseLease implements LeaseStore.
-func (f *FileStore) ReleaseLease(id, owner string, epoch int64) error {
+// ReleaseLease implements Store.
+func (f *fileStore) ReleaseLease(id, owner string, epoch int64) error {
 	if err := checkID(id); err != nil {
 		return err
 	}
@@ -323,17 +275,17 @@ func (f *FileStore) ReleaseLease(id, owner string, epoch int64) error {
 	})
 }
 
-// LoadLease implements LeaseStore. It reads without the lock — a
+// LoadLease implements Store. It reads without the lock — a
 // point-in-time view is all routing decisions need.
-func (f *FileStore) LoadLease(id string) (*Lease, error) {
+func (f *fileStore) LoadLease(id string) (*Lease, error) {
 	if err := checkID(id); err != nil {
 		return nil, err
 	}
 	return f.loadLeaseLocked(id)
 }
 
-// CheckLease implements LeaseStore.
-func (f *FileStore) CheckLease(id, owner string, epoch int64) error {
+// CheckLease implements Store.
+func (f *fileStore) CheckLease(id, owner string, epoch int64) error {
 	cur, err := f.LoadLease(id)
 	if err != nil {
 		return err
@@ -345,12 +297,12 @@ func (f *FileStore) CheckLease(id, owner string, epoch int64) error {
 	return nil
 }
 
-// FencedSave implements LeaseStore: the fencing check and the snapshot
+// FencedSave implements Store: the fencing check and the snapshot
 // rename happen under the same lease lock a steal must take, so the
 // outcome is always one of {old snapshot + old lease, old snapshot +
 // new lease, new snapshot + old lease} — never a stale owner's bytes
 // landing after a successor's.
-func (f *FileStore) FencedSave(id string, data []byte, owner string, epoch int64) error {
+func (f *fileStore) FencedSave(id string, data []byte, owner string, epoch int64) error {
 	if err := checkID(id); err != nil {
 		return err
 	}
@@ -376,8 +328,8 @@ func leaseLostErr(id, owner string, epoch int64, cur *Lease) error {
 		ErrLeaseLost, owner, id, epoch, cur.Owner, cur.Epoch)
 }
 
-// SweepLeases implements LeaseStore.
-func (f *FileStore) SweepLeases() (int, error) {
+// SweepLeases implements Store.
+func (f *fileStore) SweepLeases() (int, error) {
 	entries, err := os.ReadDir(f.dir)
 	if err != nil {
 		return 0, fmt.Errorf("server: lease sweep: %w", err)
@@ -431,8 +383,8 @@ func (f *FileStore) SweepLeases() (int, error) {
 	return removed, nil
 }
 
-// LeaseStats implements LeaseStore.
-func (f *FileStore) LeaseStats() LeaseStats {
+// LeaseStats implements Store.
+func (f *fileStore) LeaseStats() LeaseStats {
 	return LeaseStats{
 		Acquired: f.leaseAcquired.Load(),
 		Stolen:   f.leaseStolen.Load(),
@@ -442,9 +394,7 @@ func (f *FileStore) LeaseStats() LeaseStats {
 	}
 }
 
-var _ LeaseStore = (*FileStore)(nil)
-
-// leaseCounters live on FileStore (see store.go) but are declared here
+// leaseCounters live on fileStore (see store.go) but are declared here
 // with the rest of the protocol for locality.
 type leaseCounters struct {
 	leaseAcquired atomic.Uint64

@@ -32,19 +32,21 @@ func (c *fakeClock) Advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// leasePair builds two FileStores over ONE directory — two broker
-// processes sharing a state dir — with independent injectable clocks.
-func leasePair(t *testing.T) (*FileStore, *FileStore, *fakeClock) {
+// leasePair builds two WALStores over ONE directory — two broker
+// processes sharing a state dir — with one injectable clock.
+func leasePair(t *testing.T) (*WALStore, *WALStore, *fakeClock) {
 	t.Helper()
 	dir := t.TempDir()
-	a, err := NewFileStore(dir)
+	a, err := NewWALStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewFileStore(dir)
+	t.Cleanup(func() { a.Close() })
+	b, err := NewWALStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { b.Close() })
 	clk := newFakeClock()
 	a.Now, b.Now = clk.Now, clk.Now
 	return a, b, clk
@@ -183,7 +185,7 @@ func TestLeaseRace(t *testing.T) {
 		ok bool
 		l  Lease
 	}
-	race := func(s *FileStore, owner string) claim {
+	race := func(s *WALStore, owner string) claim {
 		l, err := s.AcquireLease("job-1", owner, ttl)
 		if err != nil {
 			if errors.Is(err, ErrLeaseHeld) {

@@ -147,7 +147,7 @@ func (s *Server) handleClusterOverview(w http.ResponseWriter, r *http.Request) {
 		ov.JobsOwned += n.JobsOwned
 	}
 	if s.clustered() {
-		st := s.leaseStore().LeaseStats()
+		st := s.Store.LeaseStats()
 		ov.Leases = &st
 	}
 	writeJSON(w, http.StatusOK, ov)

@@ -50,8 +50,7 @@ func (s *Server) inTransitionRetry(l *Lease) time.Duration {
 // local all along — or (nil, true) when the response (proxy relay,
 // 503, 404, 500) has already been written.
 func (s *Server) routeJob(w http.ResponseWriter, r *http.Request, id string) (*job, bool) {
-	ls := s.leaseStore()
-	l, err := ls.LoadLease(id)
+	l, err := s.Store.LoadLease(id)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "%v", err)
 		return nil, true

@@ -16,7 +16,7 @@
 //	GET    /v1/jobs/{id}/estimates current quality estimates
 //	GET    /v1/jobs/{id}/events   live round-event stream (SSE; NDJSON with ?format=ndjson)
 //	GET    /v1/jobs/{id}/series   downsampled regret/revenue learning curve (see series.go)
-//	DELETE /v1/jobs/{id}          drop the job (and its stored snapshot)
+//	DELETE /v1/jobs/{id}          drop the job (and its stored state)
 //	POST   /v1/game/solve         stateless single-round game solve
 //	GET    /v1/cluster/overview   merged per-node health/lease/latency view (see overview.go)
 //
@@ -29,10 +29,12 @@
 // process keeps serving), request bodies are bounded (413 past
 // MaxBodyBytes), and RequestTimeout deadlines every request.
 //
-// With a Store configured, the broker is durable: SaveAll snapshots
-// every live job (cdt-server calls it on graceful shutdown), LoadAll
-// resumes them on start, and each job continues from its persisted
-// round exactly as if the process had never restarted.
+// With a Store configured, the broker is durable round by round: each
+// advance appends the rounds it played to the job's WAL segment,
+// SaveAll snapshots every live job (cdt-server calls it on graceful
+// shutdown), LoadAll resumes them on start from snapshot plus WAL
+// tail, and each job continues from its last advanced round exactly
+// as if the process had never restarted.
 package server
 
 import (
@@ -267,7 +269,7 @@ type job struct {
 	// place and fencing reads it before every store write.
 	lease *Lease
 
-	// walLog, when the broker runs on a RoundWAL store, makes the
+	// walLog, when the broker runs with a Store, makes the
 	// observer encode each played round straight into walBuf as WAL
 	// entry lines (no per-round record copies — the borrowed event is
 	// read in place); the advance handler flushes the buffer to the
@@ -368,8 +370,8 @@ type Server struct {
 	// exported as cdt_registry_shard_jobs. Set before serving.
 	Shards int
 
-	// CompactEvery, on a RoundWAL store, folds a job's WAL tail into a
-	// fresh snapshot once the segment holds at least this many rounds
+	// CompactEvery, with a Store, folds a job's WAL tail into a fresh
+	// snapshot once the segment holds at least this many rounds
 	// (default 4096). Smaller values bound replay work on restart;
 	// larger values amortize snapshot writes further.
 	CompactEvery int
@@ -403,10 +405,11 @@ type Server struct {
 	// with jittered exponential backoff from 50ms.
 	StoreRetry engine.RetryPolicy
 
-	// Store, if non-nil, makes the broker durable: the snapshot
-	// endpoint persists through it, SaveAll/LoadAll write and reload
-	// every live job, and DELETE removes the stored snapshot. Set it
-	// before serving requests.
+	// Store, if non-nil, makes the broker durable: every job gets a
+	// base snapshot at creation and a round WAL that each advance
+	// appends to, the snapshot endpoint persists through it,
+	// SaveAll/LoadAll write and reload every live job, and DELETE
+	// removes the stored state. Set it before serving requests.
 	Store Store
 
 	// Cluster, if non-nil, runs this broker as one node of a
@@ -414,7 +417,7 @@ type Server struct {
 	// job it serves is backed by a lease it renews, requests for jobs
 	// a peer owns are transparently proxied to that peer, and a
 	// crashed peer's jobs fail over to their hash-designated
-	// successors. Requires a LeaseStore-capable Store; set it (and
+	// successors. Requires a Store; set it (and
 	// validate with ValidateCluster) before serving or loading.
 	Cluster *Cluster
 
@@ -477,15 +480,6 @@ func (s *Server) registry() *registry {
 	return s.reg
 }
 
-// wal returns the Store's round-WAL extension, or nil when the store
-// is snapshot-only (or absent).
-func (s *Server) wal() RoundWAL {
-	if w, ok := s.Store.(RoundWAL); ok {
-		return w
-	}
-	return nil
-}
-
 // compactEvery returns the effective WAL compaction threshold.
 func (s *Server) compactEvery() int {
 	if s.CompactEvery > 0 {
@@ -509,6 +503,7 @@ func (s *Server) newJob(id string, sess *cmabhs.Session) *job {
 		sess:    sess,
 		hub:     newEventHub(s.met().eventsDropped),
 		series:  telemetry.NewRecorder(s.SeriesCapacity),
+		walLog:  s.Store != nil,
 	}
 	sess.Observe(j.observe)
 	return j
@@ -574,16 +569,14 @@ func (s *Server) saveToStore(ctx context.Context, id string, data []byte, lease 
 		}
 	}
 	err := engine.Retry(ctx, pol, func(ctx context.Context) error {
-		if lease != nil {
-			if ls := s.leaseStore(); ls != nil {
-				err := ls.FencedSave(id, data, lease.Owner, lease.Epoch)
-				if errors.Is(err, ErrLeaseLost) {
-					return engine.Permanent(err)
-				}
-				return err
-			}
+		if lease == nil {
+			return s.Store.Save(id, data)
 		}
-		return s.Store.Save(id, data)
+		err := s.Store.FencedSave(id, data, lease.Owner, lease.Epoch)
+		if errors.Is(err, ErrLeaseLost) {
+			return engine.Permanent(err)
+		}
+		return err
 	})
 	if err != nil {
 		span.SetError(err)
@@ -612,38 +605,25 @@ func walRecord(r *cmabhs.Round) core.RoundRecord {
 	}
 }
 
-// bootstrapWAL makes a brand-new job durable on a RoundWAL store: its
-// base snapshot is persisted and an empty WAL segment starting at the
-// next round is opened. The job is not yet published, so no lock is
-// needed; on error the job is simply not created.
-func (s *Server) bootstrapWAL(ctx context.Context, j *job, wal RoundWAL) error {
-	data, err := j.sess.Save()
+// checkpoint makes sess's current state the job's durable base: the
+// snapshot is saved first, then the WAL segment is reset to start at
+// the next round, so a crash between the two leaves a stale segment
+// whose rounds recovery skips. It runs at job creation, at compaction,
+// and after recovery. On a lease-owned job both writes are fenced, so
+// a zombie cannot clobber a successor's snapshot or truncate its
+// segment, and the fresh header carries the owner's epoch.
+func (s *Server) checkpoint(ctx context.Context, id string, sess *cmabhs.Session, lease *Lease) error {
+	data, err := sess.Save()
 	if err != nil {
 		return err
 	}
-	if err := s.saveToStore(ctx, j.id, data, j.lease); err != nil {
+	if err := s.saveToStore(ctx, id, data, lease); err != nil {
 		return err
 	}
-	if err := s.resetSegment(wal, j.id, j.sess.NextRound(), j.lease); err != nil {
-		return err
-	}
-	j.walLog = true
-	return nil
-}
-
-// resetSegment resets id's WAL segment; on a lease-owned job it uses
-// the fenced variant when the store offers one (WALStore does), so a
-// zombie's reset cannot truncate a successor's segment, and the fresh
-// header carries the owner's epoch.
-func (s *Server) resetSegment(wal RoundWAL, id string, base int, lease *Lease) error {
 	if lease != nil {
-		if fw, ok := wal.(interface {
-			ResetWALFenced(id string, base int, owner string, epoch int64) error
-		}); ok {
-			return fw.ResetWALFenced(id, base, lease.Owner, lease.Epoch)
-		}
+		return s.Store.ResetWALFenced(id, sess.NextRound(), lease.Owner, lease.Epoch)
 	}
-	return wal.ResetWAL(id, base)
+	return s.Store.ResetWAL(id, sess.NextRound())
 }
 
 // flushWAL appends the rounds buffered by the observer during one
@@ -660,10 +640,6 @@ func (s *Server) resetSegment(wal RoundWAL, id string, base int, lease *Lease) e
 // belong to a generation that no longer owns the job. The caller must
 // then evict the job (evictLostJob) after releasing j.mu.
 func (s *Server) flushWAL(ctx context.Context, j *job) (leaseLost bool) {
-	wal := s.wal()
-	if wal == nil {
-		return false
-	}
 	buf, n, encErrs := j.walBuf, j.walCount, j.walErrs
 	j.walBuf, j.walCount, j.walErrs = j.walBuf[:0], 0, 0
 	if encErrs > 0 {
@@ -677,7 +653,7 @@ func (s *Server) flushWAL(ctx context.Context, j *job) (leaseLost bool) {
 	if n == 0 {
 		return false
 	}
-	size, err := wal.AppendWALEncoded(j.id, buf, n)
+	size, err := s.Store.AppendWALEncoded(j.id, buf, n)
 	if err != nil {
 		s.met().walAppendErrors.Inc()
 		s.logger().Error("wal append", "job_id", j.id, "rounds", n, "error", err)
@@ -687,13 +663,7 @@ func (s *Server) flushWAL(ctx context.Context, j *job) (leaseLost bool) {
 	if size < s.compactEvery() {
 		return false
 	}
-	data, err := j.sess.Save()
-	if err == nil {
-		err = s.saveToStore(ctx, j.id, data, j.lease)
-	}
-	if err == nil {
-		err = s.resetSegment(wal, j.id, j.sess.NextRound(), j.lease)
-	}
+	err = s.checkpoint(ctx, j.id, j.sess, j.lease)
 	if errors.Is(err, ErrLeaseLost) {
 		s.logger().Warn("wal compact fenced", "job_id", j.id, "error", err)
 		return true
@@ -731,34 +701,25 @@ type Healthz struct {
 	// DebugAddr, when the debug listener is up, is its bind address
 	// (pprof, trace store).
 	DebugAddr string `json:"debug_addr,omitempty"`
-	// StoreKind names the durability backend: "disabled", "file"
-	// (whole snapshots only), "wal" (snapshots + round WAL), or
-	// "custom" for a caller-supplied Store.
+	// StoreKind names the durability backend: "disabled" without a
+	// Store, "wal" (snapshots + round WAL) with one.
 	StoreKind string `json:"store_kind"`
 	// Shards is the job-registry stripe count.
 	Shards int `json:"shards"`
-	// WAL carries the segment/compaction counters on a "wal" store.
+	// WAL carries the segment/compaction counters when a Store is
+	// configured.
 	WAL *WALStats `json:"wal,omitempty"`
 	// Cluster carries the node identity, topology, and lease counters
 	// on a multi-node broker.
 	Cluster *ClusterHealthz `json:"cluster,omitempty"`
 }
 
-// storeKind classifies the configured Store for healthz.
+// storeKind names the durability backend for healthz.
 func (s *Server) storeKind() string {
-	switch s.Store.(type) {
-	case nil:
+	if s.Store == nil {
 		return "disabled"
-	case *WALStore:
-		return "wal"
-	case *FileStore:
-		return "file"
-	default:
-		if s.wal() != nil {
-			return "wal"
-		}
-		return "custom"
 	}
+	return "wal"
 }
 
 // buildVersion returns the module build version baked in by the Go
@@ -789,9 +750,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		} else {
 			h.StateStore = "ok"
 		}
-	}
-	if wal := s.wal(); wal != nil {
-		st := wal.WALStats()
+		st := s.Store.WALStats()
 		h.WAL = &st
 	}
 	if s.clustered() {
@@ -803,10 +762,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		for _, p := range s.Cluster.Peers {
 			ch.Peers = append(ch.Peers, p.ID)
 		}
-		if ls := s.leaseStore(); ls != nil {
-			st := ls.LeaseStats()
-			ch.Leases = &st
-		}
+		st := s.Store.LeaseStats()
+		ch.Leases = &st
 		h.Cluster = ch
 	}
 	writeJSON(w, http.StatusOK, h)
@@ -877,21 +834,21 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 			// A job is born owned: its lease is taken before anything
 			// is persisted or published, so a peer scanning the shared
 			// store never adopts a half-created job.
-			lease, err := s.leaseStore().AcquireLease(j.id, s.Cluster.NodeID, s.Cluster.ttl())
+			lease, err := s.Store.AcquireLease(j.id, s.Cluster.NodeID, s.Cluster.ttl())
 			if err != nil {
 				httpError(w, http.StatusInternalServerError, "%v", err)
 				return
 			}
 			j.lease = &lease
 		}
-		if wal := s.wal(); wal != nil {
+		if s.Store != nil {
 			// Round-granular durability starts at birth: persist the
 			// base snapshot and open the job's WAL segment before the
 			// job is reachable, so a kill -9 one round after creation
 			// already recovers the job.
-			if err := s.bootstrapWAL(r.Context(), j, wal); err != nil {
+			if err := s.checkpoint(r.Context(), j.id, j.sess, j.lease); err != nil {
 				if j.lease != nil {
-					_ = s.leaseStore().ReleaseLease(j.id, j.lease.Owner, j.lease.Epoch)
+					_ = s.Store.ReleaseLease(j.id, j.lease.Owner, j.lease.Epoch)
 				}
 				httpError(w, http.StatusInternalServerError, "%v", err)
 				return
@@ -1180,9 +1137,9 @@ func (s *Server) SaveAll() error {
 // never reuses an id. A snapshot that fails to resume aborts the
 // load with an error — a durable broker must not silently drop jobs.
 //
-// On a RoundWAL store, recovery is round-granular: after the snapshot
-// is resumed, the WAL tail — every logged round past the snapshot,
-// with a torn final line discarded — is replayed through the session.
+// Recovery is round-granular: after the snapshot is resumed, the WAL
+// tail — every logged round past the snapshot, with a torn final line
+// discarded — is replayed through the session.
 // Replay is deterministic re-execution (the mechanism's streams are
 // seeded), so each replayed round must reproduce its logged record
 // bit-for-bit; any divergence aborts the load. The caught-up state is
@@ -1220,16 +1177,15 @@ func (s *Server) LoadAll() error {
 // lost to a racing peer is skipped, not fatal — the peer winning the
 // race is the system working.
 func (s *Server) loadAllClustered(ids []string) error {
-	ls := s.leaseStore()
 	for _, id := range ids {
-		l, err := ls.LoadLease(id)
+		l, err := s.Store.LoadLease(id)
 		if err != nil {
 			return err
 		}
 		if !s.claimable(id, l) {
 			continue
 		}
-		lease, err := ls.AcquireLease(id, s.Cluster.NodeID, s.Cluster.ttl())
+		lease, err := s.Store.AcquireLease(id, s.Cluster.NodeID, s.Cluster.ttl())
 		if errors.Is(err, ErrLeaseHeld) {
 			continue
 		}
@@ -1244,13 +1200,14 @@ func (s *Server) loadAllClustered(ids []string) error {
 }
 
 // loadStoredJob resumes one stored job: snapshot load, WAL-tail replay
-// with bit-for-bit verification, and (on a WAL store) folding the
-// caught-up state into a fresh base snapshot. The job is returned
-// unpublished. lease, when non-nil, is the ownership claim the load
-// runs under: saves are fenced with it, the reset segment header
-// carries its epoch, and a WAL segment stamped with a LATER epoch
-// aborts the load — it belongs to a successor generation this claim
-// cannot fold.
+// with bit-for-bit verification, and folding the caught-up state into
+// a fresh base snapshot. A missing segment (a state dir written
+// before segments existed) replays nothing and gains one here. The
+// job is returned unpublished. lease, when non-nil, is the ownership
+// claim the load runs under: saves are fenced with it, the reset
+// segment header carries its epoch, and a WAL segment stamped with a
+// LATER epoch aborts the load — it belongs to a successor generation
+// this claim cannot fold.
 func (s *Server) loadStoredJob(ctx context.Context, id string, lease *Lease) (*job, error) {
 	data, err := s.Store.Load(id)
 	if err != nil {
@@ -1260,40 +1217,28 @@ func (s *Server) loadStoredJob(ctx context.Context, id string, lease *Lease) (*j
 	if err != nil {
 		return nil, fmt.Errorf("server: resume %s: %w", id, err)
 	}
-	wal := s.wal()
-	if wal != nil {
-		replayed, err := s.replayWAL(wal, id, sess, lease)
-		if err != nil {
-			return nil, err
-		}
-		if replayed > 0 {
-			s.met().walReplayed.Add(uint64(replayed))
-			s.logger().Info("wal replay", "job_id", id, "rounds", replayed,
-				"next_round", sess.NextRound())
-		}
-		// Fold the replayed tail into a fresh base snapshot and
-		// restart the segment from the caught-up round.
-		data, err := sess.Save()
-		if err == nil {
-			err = s.saveToStore(ctx, id, data, lease)
-		}
-		if err == nil {
-			err = s.resetSegment(wal, id, sess.NextRound(), lease)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("server: recover %s: %w", id, err)
-		}
+	replayed, err := s.replayWAL(id, sess, lease)
+	if err != nil {
+		return nil, err
 	}
-	j := s.newJob(id, sess)
-	j.walLog = wal != nil
-	return j, nil
+	if replayed > 0 {
+		s.met().walReplayed.Add(uint64(replayed))
+		s.logger().Info("wal replay", "job_id", id, "rounds", replayed,
+			"next_round", sess.NextRound())
+	}
+	// Fold the replayed tail into a fresh base snapshot and restart
+	// the segment from the caught-up round.
+	if err := s.checkpoint(ctx, id, sess, lease); err != nil {
+		return nil, fmt.Errorf("server: recover %s: %w", id, err)
+	}
+	return s.newJob(id, sess), nil
 }
 
 // replayWAL advances a just-resumed session through its WAL tail and
 // verifies every replayed round reproduces the logged record exactly.
 // It returns the number of rounds replayed.
-func (s *Server) replayWAL(wal RoundWAL, id string, sess *cmabhs.Session, lease *Lease) (int, error) {
-	seg, err := wal.LoadWAL(id)
+func (s *Server) replayWAL(id string, sess *cmabhs.Session, lease *Lease) (int, error) {
+	seg, err := s.Store.LoadWAL(id)
 	if err != nil {
 		return 0, fmt.Errorf("server: recover %s: %w", id, err)
 	}

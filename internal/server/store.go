@@ -10,28 +10,81 @@ import (
 	"time"
 )
 
-// Store persists job snapshots across broker restarts. Implementations
-// must make Save atomic: a crash mid-save leaves either the previous
-// snapshot or the new one, never a torn file.
+// Store is the broker's durable state: every call the broker makes on
+// it. WALStore is the implementation; the interface exists so a test
+// or a benchmark can wrap it (fault injection, timing).
+//
+// Snapshot writes must be atomic: a crash mid-save leaves either the
+// previous snapshot or the new one, never a torn file. Next to each
+// snapshot the store keeps the job's round WAL (see RoundWAL) and, in
+// a multi-node deployment, the job's ownership lease (see lease.go).
 type Store interface {
 	// Save durably stores the snapshot bytes under id, replacing any
 	// previous snapshot of that id.
 	Save(id string, data []byte) error
 	// Load returns the snapshot stored under id.
 	Load(id string) ([]byte, error)
-	// Delete removes id's snapshot; deleting a missing id is not an
-	// error.
+	// Delete removes id's snapshot, WAL segment, and lease record;
+	// deleting a missing id is not an error.
 	Delete(id string) error
 	// List returns the stored ids in stable order.
 	List() ([]string, error)
+
+	RoundWAL
+
+	// AcquireLease acquires or renews id's lease for owner with the
+	// given ttl: granted fresh at epoch 1, extended in place when owner
+	// already holds it, stolen at epoch+1 when the current lease is
+	// expired (past its grace). An unexpired foreign lease returns
+	// ErrLeaseHeld.
+	AcquireLease(id, owner string, ttl time.Duration) (Lease, error)
+
+	// RenewLease extends the expiry of a lease owner holds at exactly
+	// the given epoch. Any mismatch — stolen, released, missing —
+	// returns ErrLeaseLost.
+	RenewLease(id, owner string, epoch int64, ttl time.Duration) (Lease, error)
+
+	// ReleaseLease removes id's lease if owner holds it at epoch
+	// (graceful shutdown / handoff). A mismatched or missing lease
+	// returns ErrLeaseLost; the job itself is untouched either way.
+	ReleaseLease(id, owner string, epoch int64) error
+
+	// LoadLease returns id's current lease, or nil when none exists. A
+	// corrupt record (a crashed writer's leftovers) is treated as
+	// absent and counted in LeaseStats.Corrupt rather than bricking
+	// the job.
+	LoadLease(id string) (*Lease, error)
+
+	// CheckLease is the fencing read: nil iff id's lease is held by
+	// exactly (owner, epoch); ErrLeaseLost otherwise.
+	CheckLease(id, owner string, epoch int64) error
+
+	// FencedSave writes a snapshot only while (owner, epoch) still
+	// holds id's lease, atomically with respect to concurrent lease
+	// mutations — a zombie owner's snapshot can never clobber its
+	// successor's.
+	FencedSave(id string, data []byte, owner string, epoch int64) error
+
+	// ResetWALFenced is ResetWAL with the same fencing as FencedSave,
+	// and with the owner's epoch stamped into the segment header so
+	// recovery can detect segments written by a later ownership
+	// generation.
+	ResetWALFenced(id string, base int, owner string, epoch int64) error
+
+	// SweepLeases garbage-collects lease debris: expired leases whose
+	// job snapshot no longer exists, and stale lock files left by
+	// crashed writers. It returns the number of files removed.
+	SweepLeases() (int, error)
+
+	// LeaseStats reports the protocol counters for healthz/metrics.
+	LeaseStats() LeaseStats
 }
 
-// FileStore is a directory-backed Store: one `<id>.json` file per
-// job, written via a temp file and os.Rename so readers and crash
-// recovery never observe a partial snapshot. It also implements the
-// LeaseStore extension (see lease.go): multi-node deployments keep a
+// fileStore is WALStore's snapshot-and-lease half: one `<id>.json`
+// snapshot per job, written via a temp file and os.Rename so readers
+// and crash recovery never observe a partial snapshot, plus a
 // `<id>.json.lease` ownership record next to each snapshot.
-type FileStore struct {
+type fileStore struct {
 	dir string
 
 	// Now, when set, replaces wall time in every lease expiry decision
@@ -42,20 +95,8 @@ type FileStore struct {
 	leaseCounters
 }
 
-// NewFileStore creates (if needed) the directory and returns the
-// store.
-func NewFileStore(dir string) (*FileStore, error) {
-	if dir == "" {
-		return nil, errors.New("server: empty state directory")
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("server: state dir: %w", err)
-	}
-	return &FileStore{dir: dir}, nil
-}
-
 // Dir returns the backing directory.
-func (f *FileStore) Dir() string { return f.dir }
+func (f *fileStore) Dir() string { return f.dir }
 
 // checkID rejects ids that could escape the directory.
 func checkID(id string) error {
@@ -72,12 +113,12 @@ func checkID(id string) error {
 	return nil
 }
 
-func (f *FileStore) path(id string) string {
+func (f *fileStore) path(id string) string {
 	return filepath.Join(f.dir, id+".json")
 }
 
 // Save implements Store with write-to-temp + atomic rename.
-func (f *FileStore) Save(id string, data []byte) error {
+func (f *fileStore) Save(id string, data []byte) error {
 	if err := checkID(id); err != nil {
 		return err
 	}
@@ -119,7 +160,7 @@ func syncDir(dir string) error {
 }
 
 // Load implements Store.
-func (f *FileStore) Load(id string) ([]byte, error) {
+func (f *fileStore) Load(id string) ([]byte, error) {
 	if err := checkID(id); err != nil {
 		return nil, err
 	}
@@ -130,37 +171,15 @@ func (f *FileStore) Load(id string) ([]byte, error) {
 	return data, nil
 }
 
-// Delete implements Store. The removal is fsynced for the same
-// reason Save fsyncs the rename: a deleted job must not resurrect
-// after a power loss. The job's lease record and any leftover lease
-// lock go with it — a deleted job has no ownership to dispute.
-func (f *FileStore) Delete(id string) error {
-	if err := checkID(id); err != nil {
-		return err
-	}
-	os.Remove(f.leasePath(id))
-	os.Remove(f.lockPath(id))
-	if err := os.Remove(f.path(id)); err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil
-		}
-		return fmt.Errorf("server: delete %s: %w", id, err)
-	}
-	if err := syncDir(f.dir); err != nil {
-		return fmt.Errorf("server: delete %s: %w", id, err)
-	}
-	return nil
-}
-
 // List implements Store. Only entries that look like snapshots this
 // store could have written survive the listing: foreign and partial
-// files — a leftover `*.tmp` from a crashed atomic rename or lease
-// write, lease records and lock files (`*.lease`, `*.lease.lock`,
-// orphaned or not), editor droppings, a directory someone created in
-// the state dir, a name that would never pass checkID — are skipped
-// rather than surfaced as job ids that LoadAll would then fail to
-// load.
-func (f *FileStore) List() ([]string, error) {
+// files — WAL segments (`*.wal`), a leftover `*.tmp` from a crashed
+// atomic rename, segment reset or lease write, lease records and lock
+// files (`*.lease`, `*.lease.lock`, orphaned or not), editor
+// droppings, a directory someone created in the state dir, a name
+// that would never pass checkID — are skipped rather than surfaced as
+// job ids that LoadAll would then fail to load.
+func (f *fileStore) List() ([]string, error) {
 	entries, err := os.ReadDir(f.dir)
 	if err != nil {
 		return nil, fmt.Errorf("server: list snapshots: %w", err)
@@ -180,5 +199,3 @@ func (f *FileStore) List() ([]string, error) {
 	sort.Strings(ids)
 	return ids, nil
 }
-
-var _ Store = (*FileStore)(nil)

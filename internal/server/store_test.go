@@ -8,14 +8,18 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
+// The FileStore tests exercise WALStore's snapshot half (fileStore).
+
 func TestFileStoreBasics(t *testing.T) {
-	fs, err := NewFileStore(filepath.Join(t.TempDir(), "state"))
+	fs, err := NewWALStore(filepath.Join(t.TempDir(), "state"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer fs.Close()
 	if ids, err := fs.List(); err != nil || len(ids) != 0 {
 		t.Fatalf("fresh store: ids %v err %v", ids, err)
 	}
@@ -58,10 +62,7 @@ func TestFileStoreBasics(t *testing.T) {
 }
 
 func TestFileStoreRejectsBadIDs(t *testing.T) {
-	fs, err := NewFileStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	fs := newWALStore(t)
 	for _, id := range []string{"", "../escape", "a/b", "a.b", "x y"} {
 		if err := fs.Save(id, []byte("{}")); err == nil {
 			t.Errorf("id %q accepted", id)
@@ -71,10 +72,11 @@ func TestFileStoreRejectsBadIDs(t *testing.T) {
 
 func persistentTestServer(t *testing.T, dir string) (*Server, *httptest.Server) {
 	t.Helper()
-	fs, err := NewFileStore(dir)
+	fs, err := NewWALStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { fs.Close() })
 	srv := New()
 	srv.Store = fs
 	ts := httptest.NewServer(srv.Handler())
@@ -175,6 +177,66 @@ func TestBrokerRestartMidJob(t *testing.T) {
 	}
 }
 
+// TestSnapshotOnlyStateDirResumes boots a state dir written by the
+// broker's former snapshot-only mode (a snapshot, no `.wal` segment):
+// the job resumes at its persisted round, gains a segment that makes
+// its later rounds crash-durable, and finishes byte-identical to an
+// uninterrupted run. testdata/snapshot-only/job-1.json was written by
+// cdt-server at commit 5069ac1 started with -state-dir and no -wal:
+// create persistJobReq, advance 15 rounds, SIGTERM.
+func TestSnapshotOnlyStateDirResumes(t *testing.T) {
+	_, refTS := persistentTestServer(t, t.TempDir())
+	var ref JobStatus
+	if code := do(t, refTS, http.MethodPost, "/v1/jobs", persistJobReq, &ref); code != http.StatusCreated {
+		t.Fatalf("ref create: %d", code)
+	}
+	var refAdv AdvanceResponse
+	if code := do(t, refTS, http.MethodPost, "/v1/jobs/"+ref.ID+"/advance", AdvanceRequest{Rounds: 40}, &refAdv); code != http.StatusOK || !refAdv.Status.Done {
+		t.Fatalf("ref advance: %d %+v", code, refAdv.Status)
+	}
+	var refSnap SnapshotResponse
+	do(t, refTS, http.MethodPost, "/v1/jobs/"+ref.ID+"/snapshot", nil, &refSnap)
+
+	dir := t.TempDir()
+	old, err := os.ReadFile(filepath.Join("testdata", "snapshot-only", "job-1.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "job-1.json"), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv1, ts1 := persistentTestServer(t, dir)
+	if err := srv1.LoadAll(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "job-1.wal")); err != nil {
+		t.Fatalf("no segment after boot: %v", err)
+	}
+	var adv AdvanceResponse
+	if code := do(t, ts1, http.MethodPost, "/v1/jobs/job-1/advance", AdvanceRequest{Rounds: 10}, &adv); code != http.StatusOK || adv.Status.NextRound != 26 {
+		t.Fatalf("advance after boot: %d, next round %d, want 26", code, adv.Status.NextRound)
+	}
+	ts1.Close()
+
+	// Crash without SaveAll: the ten rounds are in the new segment.
+	srv2, ts2 := persistentTestServer(t, dir)
+	if err := srv2.LoadAll(); err != nil {
+		t.Fatal(err)
+	}
+	if code := do(t, ts2, http.MethodPost, "/v1/jobs/job-1/advance", AdvanceRequest{Rounds: 40}, &adv); code != http.StatusOK || !adv.Status.Done {
+		t.Fatalf("resume advance: %d %+v", code, adv.Status)
+	}
+	if !reflect.DeepEqual(adv.Status.Result, refAdv.Status.Result) {
+		t.Errorf("resumed result differs from uninterrupted run:\nref %+v\ngot %+v",
+			refAdv.Status.Result, adv.Status.Result)
+	}
+	var snap SnapshotResponse
+	do(t, ts2, http.MethodPost, "/v1/jobs/job-1/snapshot", nil, &snap)
+	if !bytes.Equal(snap.Snapshot, refSnap.Snapshot) {
+		t.Error("final snapshot differs from the uninterrupted run's")
+	}
+}
+
 // TestCreateJobFromSnapshot: the snapshot payload round-trips through
 // job creation on a broker with no store at all.
 func TestCreateJobFromSnapshot(t *testing.T) {
@@ -239,20 +301,23 @@ func TestSaveAllLoadAllWithoutStore(t *testing.T) {
 // drop swap files in it. List must surface only loadable snapshot
 // ids — everything else would turn LoadAll into a boot failure.
 func TestFileStoreListSkipsForeignAndPartialFiles(t *testing.T) {
-	dir := t.TempDir()
-	fs, err := NewFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fs := newWALStore(t)
+	dir := fs.Dir()
 	if err := fs.Save("job-1", []byte(`{"a":1}`)); err != nil {
 		t.Fatal(err)
 	}
 	if err := fs.Save("job-2", []byte(`{"a":2}`)); err != nil {
 		t.Fatal(err)
 	}
+	if err := fs.ResetWAL("job-2", 1); err != nil {
+		t.Fatal(err) // a live segment the store wrote itself
+	}
 	// Seed the kinds of dirt a long-lived state dir collects.
 	for _, name := range []string{
 		".job-3-12345.tmp",     // crashed mid-rename
+		".job-3-wal-6789.tmp",  // crashed mid-segment-reset
+		".job-3-lease-42.tmp",  // crashed mid-lease-write
+		"job-3.json.lease",     // lease of a job whose snapshot is gone
 		"job-1.wal",            // WAL segment riding alongside
 		"job-2.json.bak",       // operator backup
 		"notes.txt",            // stray file
@@ -276,12 +341,12 @@ func TestFileStoreListSkipsForeignAndPartialFiles(t *testing.T) {
 		t.Fatalf("list: %v, want [job-1 job-2]", ids)
 	}
 
-	// And a broker booting off this dirty dir loads cleanly.
+	// And a broker booting off this dirty dir gets as far as the
+	// snapshots: they are junk JSON here, so LoadAll fails on the first
+	// one's CONTENT, not on a foreign file.
 	srv := New()
 	srv.Store = fs
-	if err := srv.LoadAll(); err == nil {
-		// The two snapshots are junk JSON here, so LoadAll fails on
-		// content — but it must fail on CONTENT, not on foreign files.
-		t.Log("LoadAll accepted junk snapshots (fine for this test)")
+	if err := srv.LoadAll(); err == nil || !strings.Contains(err.Error(), "resume job-1") {
+		t.Fatalf("LoadAll: %v, want a resume error for job-1", err)
 	}
 }

@@ -167,13 +167,14 @@ func TestTraceparentPropagation(t *testing.T) {
 // with job id and round attributes, and a store-write span whose
 // events record each retry attempt.
 func TestAdvanceTraceAcceptance(t *testing.T) {
-	store := &flakyStore{failures: 1}
+	store := newFlakyStore(t)
 	s := New()
 	s.Store = store
 	s.StoreRetry = instantRetry(3)
 	s.Tracer = tracing.NewSeeded(42, 64)
 	h := s.Handler()
 	st := createJob(t, h)
+	store.arm(1)
 
 	const tp = "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01"
 

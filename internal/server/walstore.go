@@ -7,26 +7,21 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"cmabhs/internal/core"
 	"cmabhs/internal/roundlog"
 )
 
-// RoundWAL is the optional Store extension for round-granular
-// durability: next to each job's snapshot, the store keeps an
-// append-only per-job round log (a roundlog WAL segment). Each advance
-// appends only the rounds it just played instead of rewriting the
-// whole snapshot, and crash recovery becomes load-last-snapshot +
-// replay-WAL-tail instead of falling back to the last explicit
-// snapshot.
+// RoundWAL is the round-granular half of Store: next to each job's
+// snapshot, the store keeps an append-only per-job round log (a
+// roundlog WAL segment). Each advance appends only the rounds it just
+// played instead of rewriting the whole snapshot, and crash recovery
+// is load-last-snapshot + replay-WAL-tail.
 //
 // The broker drives the protocol: ResetWAL whenever a fresh snapshot
-// of the job is durably saved (creation, compaction, recovery,
-// shutdown), AppendWAL after every advance, LoadWAL on restart.
+// of the job is durably saved (creation, compaction, recovery),
+// AppendWAL after every advance, LoadWAL on restart.
 type RoundWAL interface {
-	Store
-
 	// ResetWAL atomically replaces id's segment with an empty one
 	// whose first round is base — called right after a snapshot at
 	// NextRound == base is durably saved, folding the old tail into it.
@@ -43,8 +38,9 @@ type RoundWAL interface {
 	AppendWALEncoded(id string, data []byte, n int) (int, error)
 
 	// LoadWAL reads id's segment, discarding a torn final line. A
-	// missing segment returns (nil, nil): the job predates the WAL or
-	// was just reset by a crash between snapshot and reset.
+	// missing segment returns (nil, nil): the job's state dir was
+	// written without segments, or a crash fell between its first
+	// snapshot and the segment reset.
 	LoadWAL(id string) (*roundlog.Segment, error)
 
 	// WALStats reports the segment/append/compaction counters for
@@ -52,7 +48,7 @@ type RoundWAL interface {
 	WALStats() WALStats
 }
 
-// WALStats is the point-in-time view of a RoundWAL's activity.
+// WALStats is the point-in-time view of the round WAL's activity.
 type WALStats struct {
 	// OpenSegments is the number of jobs with an open WAL segment.
 	OpenSegments int `json:"open_segments"`
@@ -65,13 +61,13 @@ type WALStats struct {
 	TornTails uint64 `json:"torn_tails"`
 }
 
-// WALStore is the file-backed RoundWAL: a FileStore for snapshots plus
-// one `<id>.wal` segment per job in the same directory. Appends go
-// through a persistent O_APPEND handle and are fsynced once per batch
-// (one advance call = one batch), so a kill -9 can tear at most the
-// final line of a segment — which ReadSegment discards by design.
+// WALStore is the file-backed Store: snapshots and leases (fileStore)
+// plus one `<id>.wal` segment per job in the same directory. Appends
+// go through a persistent O_APPEND handle and are fsynced once per
+// batch (one advance call = one batch), so a kill -9 can tear at most
+// the final line of a segment — which ReadSegment discards by design.
 type WALStore struct {
-	fs *FileStore
+	*fileStore
 
 	mu   sync.Mutex
 	open map[string]*walSegment
@@ -90,54 +86,24 @@ type walSegment struct {
 
 // NewWALStore creates (if needed) the directory and returns the store.
 func NewWALStore(dir string) (*WALStore, error) {
-	fs, err := NewFileStore(dir)
-	if err != nil {
-		return nil, err
+	if dir == "" {
+		return nil, errors.New("server: empty state directory")
 	}
-	return &WALStore{fs: fs, open: make(map[string]*walSegment)}, nil
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("server: state dir: %w", err)
+	}
+	return &WALStore{fileStore: &fileStore{dir: dir}, open: make(map[string]*walSegment)}, nil
 }
-
-// Dir returns the backing directory.
-func (w *WALStore) Dir() string { return w.fs.Dir() }
 
 func (w *WALStore) walPath(id string) string {
-	return filepath.Join(w.fs.Dir(), id+".wal")
+	return filepath.Join(w.dir, id+".wal")
 }
 
-// Save, Load, and List delegate to the snapshot FileStore.
-func (w *WALStore) Save(id string, data []byte) error { return w.fs.Save(id, data) }
-func (w *WALStore) Load(id string) ([]byte, error)    { return w.fs.Load(id) }
-func (w *WALStore) List() ([]string, error)           { return w.fs.List() }
-
-// The LeaseStore extension delegates to the snapshot FileStore too:
-// leases live next to the snapshots they guard.
-func (w *WALStore) AcquireLease(id, owner string, ttl time.Duration) (Lease, error) {
-	return w.fs.AcquireLease(id, owner, ttl)
-}
-func (w *WALStore) RenewLease(id, owner string, epoch int64, ttl time.Duration) (Lease, error) {
-	return w.fs.RenewLease(id, owner, epoch, ttl)
-}
-func (w *WALStore) ReleaseLease(id, owner string, epoch int64) error {
-	return w.fs.ReleaseLease(id, owner, epoch)
-}
-func (w *WALStore) LoadLease(id string) (*Lease, error) { return w.fs.LoadLease(id) }
-func (w *WALStore) CheckLease(id, owner string, epoch int64) error {
-	return w.fs.CheckLease(id, owner, epoch)
-}
-func (w *WALStore) FencedSave(id string, data []byte, owner string, epoch int64) error {
-	return w.fs.FencedSave(id, data, owner, epoch)
-}
-func (w *WALStore) SweepLeases() (int, error) { return w.fs.SweepLeases() }
-func (w *WALStore) LeaseStats() LeaseStats    { return w.fs.LeaseStats() }
-
-// SetNow injects a clock into the underlying FileStore's lease-expiry
-// decisions (tests drive failover with it); nil restores wall time.
-func (w *WALStore) SetNow(fn func() time.Time) { w.fs.Now = fn }
-
-var _ LeaseStore = (*WALStore)(nil)
-
-// Delete removes id's snapshot and its WAL segment, closing the open
-// handle first.
+// Delete implements Store: it closes id's open segment handle, then
+// removes the segment, the lease record and any leftover lease lock
+// (a deleted job has no ownership to dispute), and the snapshot. The
+// removals are fsynced for the same reason Save fsyncs its rename: a
+// deleted job must not resurrect after a power loss.
 func (w *WALStore) Delete(id string) error {
 	if err := checkID(id); err != nil {
 		return err
@@ -151,7 +117,15 @@ func (w *WALStore) Delete(id string) error {
 	if err := os.Remove(w.walPath(id)); err != nil && !errors.Is(err, os.ErrNotExist) {
 		return fmt.Errorf("server: delete %s wal: %w", id, err)
 	}
-	return w.fs.Delete(id) // fsyncs the directory for both removals
+	os.Remove(w.leasePath(id))
+	os.Remove(w.lockPath(id))
+	if err := os.Remove(w.path(id)); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return fmt.Errorf("server: delete %s: %w", id, err)
+	}
+	if err := syncDir(w.dir); err != nil {
+		return fmt.Errorf("server: delete %s: %w", id, err)
+	}
+	return nil
 }
 
 // ResetWAL implements RoundWAL: the fresh header-only segment is
@@ -163,23 +137,22 @@ func (w *WALStore) ResetWAL(id string, base int) error {
 	return w.resetWAL(id, base, 0)
 }
 
-// ResetWALFenced is ResetWAL with the owner's lease epoch stamped into
-// the segment header (see roundlog.EncodeSegmentHeaderEpoch), so
-// recovery can detect segments written by a later ownership
-// generation. It runs under the job's lease lock with a fencing check
-// first: a zombie owner whose lease was stolen cannot truncate its
+// ResetWALFenced implements Store: the owner's lease epoch is stamped
+// into the segment header (see roundlog.EncodeSegmentHeaderEpoch), and
+// the reset runs under the job's lease lock with a fencing check
+// first, so a zombie owner whose lease was stolen cannot truncate its
 // successor's segment.
 func (w *WALStore) ResetWALFenced(id string, base int, owner string, epoch int64) error {
 	if err := checkID(id); err != nil {
 		return err
 	}
-	return w.fs.withLeaseLock(id, func() error {
-		cur, err := w.fs.loadLeaseLocked(id)
+	return w.withLeaseLock(id, func() error {
+		cur, err := w.loadLeaseLocked(id)
 		if err != nil {
 			return err
 		}
 		if cur == nil || cur.Owner != owner || cur.Epoch != epoch {
-			w.fs.leaseFenced.Add(1)
+			w.leaseFenced.Add(1)
 			return leaseLostErr(id, owner, epoch, cur)
 		}
 		return w.resetWAL(id, base, epoch)
@@ -194,7 +167,7 @@ func (w *WALStore) resetWAL(id string, base int, epoch int64) error {
 	if err != nil {
 		return fmt.Errorf("server: wal reset %s: %w", id, err)
 	}
-	tmp, err := os.CreateTemp(w.fs.Dir(), "."+id+"-wal-*.tmp")
+	tmp, err := os.CreateTemp(w.dir, "."+id+"-wal-*.tmp")
 	if err != nil {
 		return fmt.Errorf("server: wal reset %s: %w", id, err)
 	}
@@ -210,7 +183,7 @@ func (w *WALStore) resetWAL(id string, base int, epoch int64) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("server: wal reset %s: %w", id, err)
 	}
-	if err := syncDir(w.fs.Dir()); err != nil {
+	if err := syncDir(w.dir); err != nil {
 		tmp.Close()
 		return fmt.Errorf("server: wal reset %s: %w", id, err)
 	}
@@ -325,4 +298,4 @@ func (w *WALStore) Close() error {
 	return firstErr
 }
 
-var _ RoundWAL = (*WALStore)(nil)
+var _ Store = (*WALStore)(nil)

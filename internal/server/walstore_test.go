@@ -246,13 +246,6 @@ func TestStoreKinds(t *testing.T) {
 	if k := (&Server{}).storeKind(); k != "disabled" {
 		t.Errorf("nil store: %q", k)
 	}
-	fs, err := NewFileStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k := (&Server{Store: fs}).storeKind(); k != "file" {
-		t.Errorf("file store: %q", k)
-	}
 	if k := (&Server{Store: newWALStore(t)}).storeKind(); k != "wal" {
 		t.Errorf("wal store: %q", k)
 	}

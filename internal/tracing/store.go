@@ -110,7 +110,7 @@ func (s *Store) DroppedSpans() uint64 {
 
 // TraceSummary is one row of the trace listing.
 type TraceSummary struct {
-	TraceID string    `json:"trace_id"`
+	TraceID string `json:"trace_id"`
 	// Name is the root span's name (the span without a parent; the
 	// first recorded span when the root was evicted or still open).
 	Name     string    `json:"name"`
